@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-shard race-rebuild race-tier race-coact race-file alloc-guard vet vet-tool lint staticcheck bench verify experiments
+.PHONY: build test race race-shard race-rebuild race-tier race-coact race-file alloc-guard ftoa-exhaustive vet vet-tool lint staticcheck bench verify experiments
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,12 @@ race-file:
 # nothing at all. CI runs this as the bench-smoke gate.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
+
+# Compares the JSON response path's float32 formatter with strconv on all
+# 2^32 bit patterns (every core, about 5 minutes on two). Not part of
+# `verify`; the default tier runs a boundary sweep and a fuzz seed corpus.
+ftoa-exhaustive:
+	$(GO) test -count=1 -tags exhaustive -run TestAppendFloat32Exhaustive -timeout 60m -v ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

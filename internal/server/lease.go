@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -130,20 +131,24 @@ func toLookupStats(st serving.QueryStats) LookupStats {
 }
 
 // appendJSONFloat32 appends v in the shortest round-trippable decimal
-// form. Non-finite values (never produced by the store's verified
-// payloads, but bytes are bytes) become 0 so the JSON stays valid.
+// form, byte-identical to strconv.AppendFloat(buf, float64(v), 'g', -1,
+// 32) (see ftoa32.go). Non-finite values (never produced by the store's
+// verified payloads, but bytes are bytes) become 0 so the JSON stays
+// valid.
 func appendJSONFloat32(buf []byte, v float32) []byte {
-	f := float64(v)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
+	if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
 		return append(buf, '0')
 	}
-	return strconv.AppendFloat(buf, f, 'g', -1, 32)
+	return appendFloat32(buf, v)
 }
 
 // encodeJSON appends the LookupResponse JSON encoding of the lease to
 // buf. Hand-rolled: ref-backed vectors are decoded element-at-a-time
 // straight from the completion buffers into the body with no intermediate
-// map, slice-of-slices, or reflection pass.
+// map, slice-of-slices, or reflection pass. The result parses to the same
+// LookupResponse as encoding/json's rendering but is not byte-equal to
+// it: elements are strconv 'g' shortest text (1e-05, 2e+06), where
+// encoding/json writes 0.00001 and 2000000.
 func (l *respLease) encodeJSON(buf []byte) []byte {
 	buf = append(buf, `{"embeddings":{`...)
 	for i, k := range l.keys {
@@ -155,6 +160,7 @@ func (l *respLease) encodeJSON(buf []byte) []byte {
 		buf = append(buf, `":[`...)
 		if ref := l.refAt(i); ref.Valid() {
 			n := ref.Dim()
+			buf = slices.Grow(buf, n*(maxFloat32Len+1)+f32Scratch)
 			for j := 0; j < n; j++ {
 				if j > 0 {
 					buf = append(buf, ',')
@@ -162,6 +168,7 @@ func (l *respLease) encodeJSON(buf []byte) []byte {
 				buf = appendJSONFloat32(buf, ref.Float32(j))
 			}
 		} else {
+			buf = slices.Grow(buf, len(l.vecs[i])*(maxFloat32Len+1)+f32Scratch)
 			for j, f := range l.vecs[i] {
 				if j > 0 {
 					buf = append(buf, ',')
@@ -188,8 +195,9 @@ func (l *respLease) encodeJSON(buf []byte) []byte {
 	return buf
 }
 
-// appendJSON appends the LookupStats JSON object, matching the
-// encoding/json rendering of the struct tags (omitempty included).
+// appendJSON appends the LookupStats JSON object with the struct tags'
+// field names and omitempty rules; like the embeddings, page_share is
+// strconv 'g' shortest text, parse-equal to encoding/json's rendering.
 func (s LookupStats) appendJSON(buf []byte) []byte {
 	buf = append(buf, `{"distinct_keys":`...)
 	buf = strconv.AppendInt(buf, int64(s.DistinctKeys), 10)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -264,7 +265,8 @@ func TestLookupBinaryMatchesJSON(t *testing.T) {
 
 // TestHandRolledJSONMatchesEncodingJSON pins the hand-rolled encoder to the
 // reflection-based rendering of the same response structs, so the wire
-// shape can never drift from the documented LookupResponse.
+// shape can never drift from the documented LookupResponse. The contract
+// is parse-equality: number text differs (see encodeJSON).
 func TestHandRolledJSONMatchesEncodingJSON(t *testing.T) {
 	for _, l := range []*respLease{
 		{
@@ -280,41 +282,53 @@ func TestHandRolledJSONMatchesEncodingJSON(t *testing.T) {
 			stats: LookupStats{DistinctKeys: 3, CacheHits: 1, PagesRead: 2, BatchSize: 4,
 				Retries: 2, ReplicaRescues: 1, ShardReroutes: 3, StoreFallbacks: 1, LatencyNS: 99, Generation: 7},
 		},
+		{keys: []uint32{1}, vecs: [][]float32{{float32(math.NaN())}}},
+		{keys: []uint32{2}, vecs: [][]float32{{float32(math.Inf(-1))}}},
+		{keys: []uint32{3}, vecs: [][]float32{{float32(math.Copysign(0, -1))}}},
+		{keys: []uint32{4}, vecs: [][]float32{{math.SmallestNonzeroFloat32, -0x1p-130}}},
+		// strconv 'g' writes these as 1e-05 and 2e+06; encoding/json as
+		// 0.00001 and 2000000. Parse-equal, not byte-equal.
+		{keys: []uint32{5}, vecs: [][]float32{{1e-5}}},
+		{keys: []uint32{6}, vecs: [][]float32{{2e6}}, stats: LookupStats{PageShare: 1e-5}},
 	} {
-		hand := l.encodeJSON(nil)
-		ref := LookupResponse{
-			Embeddings: map[uint32][]float32{},
-			Degraded:   l.degraded,
-			Stats:      l.stats,
-		}
-		for i, k := range l.keys {
-			vec := make([]float32, len(l.vecs[i]))
-			for j, f := range l.vecs[i] {
-				if f64 := float64(f); math.IsNaN(f64) || math.IsInf(f64, 0) {
-					f = 0 // the hand encoder's non-finite clamp
-				}
+		checkParseEqual(t, l)
+	}
+}
+
+// checkParseEqual encodes l and fails t unless the output parses to the
+// same LookupResponse as json.Marshal of the lease's contents (with the
+// hand encoder's non-finite clamp applied). It returns the encoding.
+func checkParseEqual(t *testing.T, l *respLease) []byte {
+	t.Helper()
+	hand := l.encodeJSON(nil)
+	ref := LookupResponse{Embeddings: map[uint32][]float32{}, Degraded: l.degraded, Stats: l.stats}
+	for i, k := range l.keys {
+		vec := make([]float32, len(l.vecs[i]))
+		for j, f := range l.vecs[i] {
+			if f64 := float64(f); !math.IsNaN(f64) && !math.IsInf(f64, 0) {
 				vec[j] = f
 			}
-			ref.Embeddings[k] = vec
 		}
-		if l.degraded {
-			ref.FailedKeys = l.failed
-		}
-		var fromHand, fromRef LookupResponse
-		if err := json.Unmarshal(hand, &fromHand); err != nil {
-			t.Fatalf("hand-rolled output does not parse: %v\n%s", err, hand)
-		}
-		refBytes, err := json.Marshal(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(refBytes, &fromRef); err != nil {
-			t.Fatal(err)
-		}
-		if !jsonEqual(t, fromHand, fromRef) {
-			t.Fatalf("hand-rolled JSON diverges:\nhand: %s\nref:  %s", hand, refBytes)
-		}
+		ref.Embeddings[k] = vec
 	}
+	if l.degraded {
+		ref.FailedKeys = l.failed
+	}
+	var fromHand, fromRef LookupResponse
+	if err := json.Unmarshal(hand, &fromHand); err != nil {
+		t.Fatalf("hand-rolled output does not parse: %v\n%s", err, hand)
+	}
+	refBytes, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(refBytes, &fromRef); err != nil {
+		t.Fatal(err)
+	}
+	if !jsonEqual(t, fromHand, fromRef) {
+		t.Fatalf("hand-rolled JSON diverges:\nhand: %s\nref:  %s", hand, refBytes)
+	}
+	return hand
 }
 
 func jsonEqual(t *testing.T, a, b LookupResponse) bool {
@@ -328,6 +342,86 @@ func jsonEqual(t *testing.T, a, b LookupResponse) bool {
 		t.Fatal(err)
 	}
 	return bytes.Equal(ab, bb)
+}
+
+// FuzzEncodeJSON checks the hand-rolled encoder on generated leases: fuzzed
+// keys, raw vector bits (NaN, ±Inf, subnormals included), failed keys and
+// stats. The output must parse, be parse-equal to json.Marshal of the same
+// LookupResponse, and render every element as strconv 'g' shortest text
+// ("0" for non-finite values).
+func FuzzEncodeJSON(f *testing.F) {
+	f.Add([]byte{7, 0, 0, 0, 42, 0, 0, 0}, []byte{0, 0, 0xc0, 0x3f, 0x17, 0xb7, 0xd1, 0x38}, uint8(2),
+		[]byte{11, 0, 0, 0}, true, int64(3), 0.5, uint64(1))
+	f.Add([]byte{1, 0, 0, 0}, []byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0, 0x80, 1, 0, 0, 0}, uint8(4),
+		[]byte{}, false, int64(-1), 1e-7, uint64(1<<63))
+	f.Fuzz(func(t *testing.T, keyBytes, vecBytes []byte, dim uint8, failedBytes []byte,
+		degraded bool, n int64, share float64, gen uint64) {
+		if math.IsNaN(share) || math.IsInf(share, 0) {
+			share = 0 // the engine's page share is always finite
+		}
+		u32 := func(b []byte, i int) uint32 {
+			var v uint32
+			for j := 0; j < 4; j++ {
+				if k := 4*i + j; k < len(b) {
+					v |= uint32(b[k]) << (8 * j)
+				}
+			}
+			return v
+		}
+		l := &respLease{
+			degraded: degraded,
+			stats: LookupStats{DistinctKeys: int(n), CacheHits: int(n >> 8), PagesRead: int(n >> 16),
+				PageShare: share, BatchSize: int(n >> 24), Retries: int(n % 3), ReplicaRescues: int(n % 5),
+				ShardReroutes: int(n % 7), StoreFallbacks: int(n % 11), LatencyNS: n, Generation: gen},
+		}
+		d := int(dim % 17)
+		seen := map[uint32]bool{}
+		elem := 0
+		for i := 0; i < (len(keyBytes)+3)/4 && i < 64; i++ {
+			k := u32(keyBytes, i)
+			if seen[k] {
+				continue // a response carries each distinct key once
+			}
+			seen[k] = true
+			vec := make([]float32, d)
+			for j := range vec {
+				vec[j] = math.Float32frombits(u32(vecBytes, elem%max(1, (len(vecBytes)+3)/4)))
+				elem++
+			}
+			l.keys = append(l.keys, k)
+			l.vecs = append(l.vecs, vec)
+		}
+		for i := 0; i < (len(failedBytes)+3)/4 && i < 64; i++ {
+			l.failed = append(l.failed, u32(failedBytes, i))
+		}
+
+		hand := checkParseEqual(t, l)
+
+		var texts struct {
+			Embeddings map[string][]json.RawMessage `json:"embeddings"`
+		}
+		if err := json.Unmarshal(hand, &texts); err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for i, k := range l.keys {
+			got := texts.Embeddings[strconv.FormatUint(uint64(k), 10)]
+			if len(got) != len(l.vecs[i]) {
+				t.Fatalf("key %d: %d elements, want %d", k, len(got), len(l.vecs[i]))
+			}
+			for j, v := range l.vecs[i] {
+				want = want[:0]
+				if x := float64(v); math.IsNaN(x) || math.IsInf(x, 0) {
+					want = append(want, '0')
+				} else {
+					want = strconv.AppendFloat(want, x, 'g', -1, 32)
+				}
+				if !bytes.Equal(got[j], want) {
+					t.Fatalf("key %d elem %d (%#08x): %s, want %s", k, j, math.Float32bits(v), got[j], want)
+				}
+			}
+		}
+	})
 }
 
 // TestPprofGating: profiling endpoints exist only when opted in.

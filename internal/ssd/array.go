@@ -1,8 +1,9 @@
 package ssd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -477,11 +478,11 @@ func (m *MultiQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 		// of every drain growing a fresh pending slice on every shard.
 		q.pending = cs[:0]
 	}
-	sort.Slice(m.merged, func(i, j int) bool {
-		if m.merged[i].CompleteNS != m.merged[j].CompleteNS {
-			return m.merged[i].CompleteNS < m.merged[j].CompleteNS
+	slices.SortFunc(m.merged, func(a, b Completion) int {
+		if c := cmp.Compare(a.CompleteNS, b.CompleteNS); c != 0 {
+			return c
 		}
-		return m.merged[i].Page < m.merged[j].Page
+		return cmp.Compare(a.Page, b.Page)
 	})
 	return doneNS, m.merged
 }

@@ -1,6 +1,9 @@
 package ssd
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Completion records the outcome of one asynchronous page read.
 type Completion struct {
@@ -142,6 +145,6 @@ func (q *Queue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 	comps = q.pending
 	q.pending = nil
 	q.inflight = q.inflight[:0]
-	sort.Slice(comps, func(i, j int) bool { return comps[i].CompleteNS < comps[j].CompleteNS })
+	slices.SortFunc(comps, func(a, b Completion) int { return cmp.Compare(a.CompleteNS, b.CompleteNS) })
 	return doneNS, comps
 }
