@@ -70,16 +70,20 @@ race-coact:
 	$(GO) test -race -count=3 -run 'Despread|Spread|TopForSet|MaxShardDepth|LookupBatch' ./internal/placement ./internal/hypergraph ./internal/serving
 	$(GO) test -race -count=3 -run 'TestCoActivationPlacementOption|TestRefreshDuringFastShardRebuild' .
 
-# The real-I/O seams under the race detector: the async backend's executor
-# and freelist paths, zero-copy ref lifetimes across retained buffers, the
-# server's lease/encode handoff, and the public WithFileBackend surface.
+# The real-I/O seams under the race detector: the leased io_uring rings
+# (32 concurrent queue pairs, full-ring pumps, short reads, Close), the
+# pread pool and freelist paths, io_uring-vs-pread differential serving,
+# zero-copy ref lifetimes across retained buffers, the server's
+# lease/encode handoff, and the public WithFileBackend surface.
 race-file:
 	$(GO) test -race -count=3 -run 'TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram' ./internal/ssd ./internal/serving ./internal/server
 	$(GO) test -race -count=3 -run 'TestFileBackend' .
 
 # The zero-copy hot path's hard allocation gate: once warm, a cacheless
 # lookup (single and batched) over the real-I/O backend must allocate
-# nothing at all. CI runs this as the bench-smoke gate.
+# nothing at all, under each read executor (io_uring and pread subtests;
+# io_uring skips where the kernel refuses it). CI runs this as the
+# bench-smoke gate.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestFileBackendLookupZeroAllocs|TestFileBackendBatchZeroAllocs' -v ./internal/serving
 

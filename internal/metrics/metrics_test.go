@@ -75,6 +75,38 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestRecorderWideAndChunked checks the compact storage keeps every
+// sample exactly: values outside the uint32 range, counts spanning
+// several chunks, and a refill after Reset.
+func TestRecorderWideAndChunked(t *testing.T) {
+	var r Recorder
+	for round := 0; round < 2; round++ {
+		r.Reset()
+		n := 3*recorderChunk + 17
+		for i := 0; i < n; i++ {
+			r.Record(int64(i))
+		}
+		r.Record(-5)
+		r.Record(math.MaxUint32 + 1)
+		r.Record(1 << 40)
+		s := r.Snapshot()
+		if s.Count != n+3 {
+			t.Fatalf("round %d: Count = %d, want %d", round, s.Count, n+3)
+		}
+		wantMean := (float64(n)*float64(n-1)/2 - 5 + math.MaxUint32 + 1 + (1 << 40)) / float64(n+3)
+		if s.MeanNS != wantMean || s.MaxNS != 1<<40 {
+			t.Errorf("round %d: mean %v max %d, want %v and %d", round, s.MeanNS, s.MaxNS, wantMean, int64(1<<40))
+		}
+		// Nearest rank 50% of n+3 sorted samples, -5 first.
+		if want := int64((n+3)/2 - 2); s.P50NS != want {
+			t.Errorf("round %d: P50 = %d, want %d", round, s.P50NS, want)
+		}
+	}
+	if len(r.chunks) != 4 {
+		t.Errorf("%d chunks after refilling, want the 4 first allocated", len(r.chunks))
+	}
+}
+
 func TestIntHist(t *testing.T) {
 	h := NewIntHist(5)
 	for v := 0; v <= 5; v++ {

@@ -3,6 +3,7 @@ package selection
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"maxembed/internal/hypergraph"
@@ -330,5 +331,102 @@ func TestSelectorReuseAcrossQueries(t *testing.T) {
 	}
 	if st.Keys != 1 || st.Pages != 1 {
 		t.Errorf("second query stats = %+v", st)
+	}
+}
+
+// referenceOnePass is §6.1's one-pass selection written plainly: distinct
+// keys sorted by (replica count, key id) with sort.Slice, each uncovered
+// key reading its candidate that covers the most uncovered keys (first
+// candidate wins ties).
+func referenceOnePass(idx *Index, query []Key) (pages []PageID) {
+	seen := map[Key]bool{}
+	var keys []Key
+	for _, k := range query {
+		if !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		ri, rj := idx.ReplicaCount(keys[i]), idx.ReplicaCount(keys[j])
+		if ri != rj {
+			return ri < rj
+		}
+		return keys[i] < keys[j]
+	})
+	covered := map[Key]bool{}
+	for _, k := range keys {
+		if covered[k] {
+			continue
+		}
+		var best PageID
+		bestCovers := -1
+		for _, p := range idx.Candidates(k) {
+			n := 0
+			for _, u := range idx.PageKeys(p) {
+				if seen[u] && !covered[u] {
+					n++
+				}
+			}
+			if n > bestCovers {
+				best, bestCovers = p, n
+			}
+		}
+		for _, u := range idx.PageKeys(best) {
+			if seen[u] {
+				covered[u] = true
+			}
+		}
+		pages = append(pages, best)
+	}
+	return pages
+}
+
+// TestOnePassMatchesReference pins the packed-integer sort to the
+// comparator it replaces: the same pages, in the same order, on every
+// query, with and without index shrinking, and no allocation once warm.
+func TestOnePassMatchesReference(t *testing.T) {
+	p := workload.Profile{
+		Name: "t", Items: 800, Queries: 1500, MeanQueryLen: 12,
+		Communities: 40, CommunityAffinity: 0.85, ZipfS: 1.2, Seed: 7,
+	}
+	tr, err := workload.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := hypergraph.FromQueries(tr.NumItems, tr.Queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay, err := placement.Build(placement.StrategyMaxEmbed, g, placement.Options{
+		Capacity: 8, ReplicationRatio: 0.4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 3} {
+		idx := NewIndex(lay, limit)
+		sel := NewSelector(idx)
+		var got []PageID
+		emit := func(p PageID, _ []Key, _ Stats) { got = append(got, p) }
+		for qi, q := range tr.Queries[:400] {
+			got = got[:0]
+			if _, err := sel.OnePass(q, nil, emit); err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceOnePass(idx, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("limit=%d query %d: pages %v, reference %v", limit, qi, got, want)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			i++
+			if _, err := sel.OnePass(tr.Queries[i%len(tr.Queries)], nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("limit=%d: OnePass allocs/op = %.1f, want 0", limit, allocs)
+		}
 	}
 }

@@ -229,7 +229,7 @@ func benchFileEngine(b *testing.B, shards int) (*Engine, *workload.Trace) {
 // verification, zero-copy ref assembly. Steady state allocates nothing
 // (see TestFileBackendLookupZeroAllocs); -benchmem shows it.
 func BenchmarkWorkerLookupFileBackend(b *testing.B) {
-	for _, shards := range []int{1, 2} {
+	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmtDevices(shards), func(b *testing.B) {
 			eng, tr := benchFileEngine(b, shards)
 			w := eng.NewWorker()

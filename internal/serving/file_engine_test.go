@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"maxembed/internal/placement"
@@ -50,7 +51,13 @@ func (f *fixture) fileBackend(t *testing.T, shards int, cfg ssd.FileBackendConfi
 
 func (f *fixture) fileEngine(t *testing.T, shards int, mutate func(*Config)) (*Engine, *ssd.FileBackend) {
 	t.Helper()
-	fb, sh := f.fileBackend(t, shards, ssd.FileBackendConfig{})
+	return f.fileEngineWith(t, shards, ssd.FileBackendConfig{}, mutate)
+}
+
+// fileEngineWith is fileEngine over a backend built with cfg.
+func (f *fixture) fileEngineWith(t *testing.T, shards int, bcfg ssd.FileBackendConfig, mutate func(*Config)) (*Engine, *ssd.FileBackend) {
+	t.Helper()
+	fb, sh := f.fileBackend(t, shards, bcfg)
 	cfg := Config{
 		Layout:   f.lay,
 		Backend:  fb,
@@ -227,54 +234,153 @@ func TestFileBackendBatchRefs(t *testing.T) {
 // per-page garbage on the hot path.
 func TestFileBackendLookupZeroAllocs(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
-	e, _ := f.fileEngine(t, 2, nil)
-	w := e.NewWorker()
-	qs := f.trace.Queries
-	for i := 0; i < 700; i++ {
-		if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
-			t.Fatal(err)
+	forEachExecutor(t, f, func(t *testing.T, cfg ssd.FileBackendConfig) {
+		e, _ := f.fileEngineWith(t, 2, cfg, nil)
+		w := e.NewWorker()
+		qs := f.trace.Queries
+		for i := 0; i < 700; i++ {
+			if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	// Latency samples append into a slice that grows across the run; the
-	// warmup above grew it past what the measured runs add, and Reset
-	// keeps the capacity.
-	e.Latency.Reset()
-	i := 0
-	allocs := testing.AllocsPerRun(500, func() {
-		i++
-		if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
-			t.Fatal(err)
+		// Latency samples fill chunks allocated as the run grows; the
+		// warmup above allocated the one the measured runs fill, and
+		// Reset keeps it.
+		e.Latency.Reset()
+		i := 0
+		allocs := testing.AllocsPerRun(500, func() {
+			i++
+			if _, err := w.Lookup(qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state file-backend Lookup allocs/op = %.1f, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state file-backend Lookup allocs/op = %.1f, want 0", allocs)
-	}
+}
+
+// forEachExecutor runs fn as one subtest per read executor: io_uring
+// (skipped where the kernel refuses it) and the pread pool.
+func forEachExecutor(t *testing.T, f *fixture, fn func(t *testing.T, cfg ssd.FileBackendConfig)) {
+	t.Run("io_uring", func(t *testing.T) {
+		if fb, _ := f.fileBackend(t, 1, ssd.FileBackendConfig{}); fb.ExecutorKind() != "io_uring" {
+			t.Skip("io_uring unavailable here")
+		}
+		fn(t, ssd.FileBackendConfig{})
+	})
+	t.Run("pread", func(t *testing.T) { fn(t, ssd.FileBackendConfig{ForcePread: true}) })
 }
 
 // TestFileBackendBatchZeroAllocs extends the zero-alloc guard to the
 // coalesced batch path: combined pass plus CSR scatter.
 func TestFileBackendBatchZeroAllocs(t *testing.T) {
 	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
-	e, _ := f.fileEngine(t, 2, nil)
-	w := e.NewWorker()
-	qs := f.trace.Queries
-	const batch = 6
-	for i := 0; i < 200; i++ {
-		from := (i * batch) % (len(qs) - batch)
-		if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
-			t.Fatal(err)
+	forEachExecutor(t, f, func(t *testing.T, cfg ssd.FileBackendConfig) {
+		e, _ := f.fileEngineWith(t, 2, cfg, nil)
+		w := e.NewWorker()
+		qs := f.trace.Queries
+		const batch = 6
+		for i := 0; i < 200; i++ {
+			from := (i * batch) % (len(qs) - batch)
+			if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	e.Latency.Reset()
-	i := 0
-	allocs := testing.AllocsPerRun(300, func() {
-		i++
-		from := (i * batch) % (len(qs) - batch)
-		if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
-			t.Fatal(err)
+		e.Latency.Reset()
+		i := 0
+		allocs := testing.AllocsPerRun(300, func() {
+			i++
+			from := (i * batch) % (len(qs) - batch)
+			if _, err := w.LookupBatch(qs[from : from+batch]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state file-backend LookupBatch allocs/op = %.1f, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("steady-state file-backend LookupBatch allocs/op = %.1f, want 0", allocs)
+}
+
+// TestFileBackendURingMatchesPread is the differential check of the two
+// read executors: the same queries through io_uring and through the pread
+// pool must serve identical keys and vector bytes, read the same pages on
+// the same shards, and fail the same keys (none). The backends run at a
+// queue depth of 8, so LookupBatch plans overflow the leased ring and
+// drive its full-ring pump.
+func TestFileBackendURingMatchesPread(t *testing.T) {
+	f := newFixture(t, placement.StrategyMaxEmbed, 0.3)
+	prof := ssd.P5800X
+	prof.QueueDepth = 8
+	type outcome struct {
+		keys, failed []Key
+		vecs         [][]byte
+		pages        int
+	}
+	run := func(t *testing.T, shards int, cfg ssd.FileBackendConfig) ([]outcome, []int64, string) {
+		cfg.Profile = prof
+		e, fb := f.fileEngineWith(t, shards, cfg, nil)
+		w := e.NewWorker()
+		var outs []outcome
+		record := func(r Result) {
+			o := outcome{
+				keys:   append([]Key(nil), r.Keys...),
+				failed: append([]Key(nil), r.FailedKeys...),
+				pages:  r.Stats.PagesRead,
+			}
+			for _, ref := range r.Refs {
+				o.vecs = append(o.vecs, append([]byte(nil), ref.Payload()...))
+			}
+			outs = append(outs, o)
+		}
+		qs := f.trace.Queries
+		for qi := 0; qi < 120; qi++ {
+			r, err := w.Lookup(qs[qi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			record(r)
+		}
+		const batch = 12
+		overflowed := false
+		for from := 120; from+batch <= 360; from += batch {
+			br, err := w.LookupBatch(qs[from : from+batch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			overflowed = overflowed || br.Stats.Combined.PagesRead > prof.QueueDepth
+			for _, r := range br.PerQuery {
+				record(r)
+			}
+		}
+		if !overflowed {
+			t.Fatalf("no batch plan exceeded the ring depth %d", prof.QueueDepth)
+		}
+		var reads []int64
+		for _, st := range fb.ShardStats() {
+			reads = append(reads, st.Reads)
+		}
+		return outs, reads, fb.ExecutorKind()
+	}
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ring, ringReads, kind := run(t, shards, ssd.FileBackendConfig{})
+			if kind != "io_uring" {
+				t.Skipf("io_uring unavailable here (executor %s)", kind)
+			}
+			pool, poolReads, _ := run(t, shards, ssd.FileBackendConfig{ForcePread: true})
+			if !reflect.DeepEqual(ringReads, poolReads) {
+				t.Errorf("per-shard reads: io_uring %v, pread %v", ringReads, poolReads)
+			}
+			for i := range ring {
+				if !reflect.DeepEqual(ring[i], pool[i]) {
+					t.Fatalf("result %d differs: io_uring keys %v failed %v pages %d, pread keys %v failed %v pages %d",
+						i, ring[i].keys, ring[i].failed, ring[i].pages, pool[i].keys, pool[i].failed, pool[i].pages)
+				}
+				if len(ring[i].failed) != 0 {
+					t.Fatalf("result %d: failed keys %v", i, ring[i].failed)
+				}
+			}
+		})
 	}
 }

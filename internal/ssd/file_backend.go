@@ -11,11 +11,12 @@ import (
 
 // FileBackend is a real-I/O Backend: page reads are served from serialized
 // per-shard store files (O_DIRECT when the filesystem allows, buffered
-// otherwise) by bounded per-shard executors — an io_uring submission/
-// completion ring where the kernel interface is available, a goroutine
-// pread(2) pool everywhere — with per-queue-pair submission rings and
-// reference-counted completion buffers recycled through freelists sized to
-// the queue depth. It mirrors MultiQueue's queue-pair semantics exactly,
+// otherwise). Where the kernel interface is available each queue pair
+// leases an io_uring ring for one submit→drain batch and drives it
+// inline, with no hand-off to another goroutine; elsewhere bounded
+// per-shard goroutine pread(2) pools serve the reads. Completion buffers
+// are reference-counted and recycled through freelists sized to the queue
+// depth. It mirrors MultiQueue's queue-pair semantics exactly,
 // so Run/RunOpenLoop, /v1/stats, and the fault/health machinery drive real
 // NVMe (or plain files) unchanged; latencies are measured, not simulated,
 // and folded into the same per-shard Device accounting shells the
@@ -34,7 +35,9 @@ type FileBackend struct {
 	shards []*Device // accounting shells: stats, fault counters, health taps
 	prof   Profile
 	health *HealthTracker
-	execs  []fileExecutor
+	rings  *ringPool    // io_uring executor; nil under the pread fallback
+	fds    []int32      // shard file descriptors the rings read from
+	pread  []*preadExec // pread fallback; nil under io_uring
 	hists  []latHist
 	free   []chan *PageBuf
 
@@ -49,13 +52,14 @@ type FileBackend struct {
 // FileBackendConfig parameterizes NewFileBackend; the zero value works.
 type FileBackendConfig struct {
 	// Profile is the headline per-shard profile reported through Stats and
-	// used for queue depth and freelist sizing. Zero value: P5800X geometry
+	// used for queue depth (the entries of each io_uring ring, the pread
+	// pools' submission channels) and freelist sizing. Zero value: P5800X geometry
 	// at the files' page size. Latencies under this backend are measured,
 	// so the profile's ReadLatency only labels reports.
 	Profile Profile
 	// PoolWorkers is the number of pread goroutines per shard in the
 	// fallback executor (default 8, capped at the queue depth). io_uring
-	// rings ignore it (one driver goroutine per shard).
+	// ignores it: the submitting worker drives its leased ring itself.
 	PoolWorkers int
 	// ForcePread skips the io_uring probe — for A/B measurement and for
 	// sandboxes where the probe itself is unwelcome.
@@ -114,7 +118,6 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 	b := &FileBackend{
 		files:    files,
 		shards:   make([]*Device, n),
-		execs:    make([]fileExecutor, n),
 		hists:    make([]latHist, n),
 		free:     make([]chan *PageBuf, n),
 		now:      nw,
@@ -129,14 +132,19 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 		b.shards[i] = d
 		b.free[i] = make(chan *PageBuf, base.QueueDepth)
 	}
-	for i := range files {
-		if !cfg.ForcePread {
-			if ex, ok := newRingExecutor(b, i, base.QueueDepth); ok {
-				b.execs[i] = ex
-				continue
-			}
+	if !cfg.ForcePread {
+		b.rings = newRingPool(base.QueueDepth)
+	}
+	if b.rings != nil {
+		b.fds = make([]int32, n)
+		for i, f := range files {
+			b.fds[i] = int32(f.File().Fd())
 		}
-		b.execs[i] = newPreadExec(b, i, workers, base.QueueDepth)
+	} else {
+		b.pread = make([]*preadExec, n)
+		for i := range files {
+			b.pread[i] = newPreadExec(b, i, workers, base.QueueDepth)
+		}
 	}
 	agg := base
 	for i := 1; i < n; i++ {
@@ -149,7 +157,7 @@ func NewFileBackend(files []*store.FileStore, cfg FileBackendConfig) (*FileBacke
 	if files[0].Direct() {
 		mode = "direct"
 	}
-	agg.Name = fmt.Sprintf("file-%dx%s-%s-%s", n, base.Name, b.execs[0].kind(), mode)
+	agg.Name = fmt.Sprintf("file-%dx%s-%s-%s", n, base.Name, b.ExecutorKind(), mode)
 	b.prof = agg
 	b.health = newHealthTracker(n, HealthConfig{})
 	for i, d := range b.shards {
@@ -184,7 +192,12 @@ func (b *FileBackend) getBuf(shard int) *PageBuf {
 }
 
 // ExecutorKind reports the read executor in use: "io_uring" or "pread".
-func (b *FileBackend) ExecutorKind() string { return b.execs[0].kind() }
+func (b *FileBackend) ExecutorKind() string {
+	if b.rings != nil {
+		return "io_uring"
+	}
+	return "pread"
+}
 
 // Direct reports whether the shard files bypass the OS page cache.
 func (b *FileBackend) Direct() bool { return b.files[0].Direct() }
@@ -192,12 +205,16 @@ func (b *FileBackend) Direct() bool { return b.files[0].Direct() }
 // NumPages returns the global page count across shard files.
 func (b *FileBackend) NumPages() int { return b.numPages }
 
-// Close shuts down the executors and releases the shard files. The
-// backend must be idle: no queue pair may have undrained submissions.
+// Close releases every io_uring ring (or stops the pread pools) and the
+// shard files. The backend must be idle: no queue pair may have
+// undrained submissions.
 func (b *FileBackend) Close() error {
 	var err error
 	b.closeOnce.Do(func() {
-		for _, e := range b.execs {
+		if b.rings != nil {
+			b.rings.close()
+		}
+		for _, e := range b.pread {
 			e.close()
 		}
 		for _, f := range b.files {
@@ -404,7 +421,7 @@ func (h *latHist) snapshot() ReadLatencySnapshot {
 	return s
 }
 
-// fileReq is one read submitted to a shard executor.
+// fileReq is one read submitted to a shard's pread pool.
 type fileReq struct {
 	global     PageID
 	local      PageID
@@ -414,7 +431,7 @@ type fileReq struct {
 	submitVirt int64
 }
 
-// fileComp is one completed read on its way back to the submitting queue.
+// fileComp is one completed pread on its way back to the submitting queue.
 type fileComp struct {
 	global       PageID
 	buf          *PageBuf
@@ -423,17 +440,8 @@ type fileComp struct {
 	completeWall int64
 }
 
-// fileExecutor issues a shard's reads: an io_uring ring or a pread pool.
-type fileExecutor interface {
-	// submit enqueues a read; it blocks while the submission ring is full
-	// (the real-I/O analogue of Queue's virtual queue-full wait).
-	submit(fileReq)
-	kind() string
-	close()
-}
-
-// compInbox is a queue pair's completion mailbox. Executors push from
-// their goroutines; the owning worker's Drain blocks until every
+// compInbox is a queue pair's completion mailbox for the pread pools.
+// Pool goroutines push; the owning worker's Drain blocks until every
 // outstanding submission has arrived. Capacity is retained across
 // batches, so steady-state push/take allocate nothing.
 type compInbox struct {
@@ -464,7 +472,8 @@ func (in *compInbox) take(n int, dst []fileComp) []fileComp {
 
 // preadExec is the portable executor: a bounded pool of goroutines each
 // looping pread(2) (ReadAt) calls against the shard file. The request
-// channel's capacity is the submission ring.
+// channel's capacity is the submission ring; submit blocks while it is
+// full (the real-I/O analogue of Queue's virtual queue-full wait).
 type preadExec struct {
 	fb    *FileBackend
 	shard int
@@ -505,26 +514,38 @@ func (e *preadExec) run() {
 }
 
 func (e *preadExec) submit(r fileReq) { e.reqC <- r }
-func (e *preadExec) kind() string     { return "pread" }
 func (e *preadExec) close() {
 	close(e.reqC)
 	e.wg.Wait()
 }
 
-// FileQueue is a queue pair over a FileBackend: per-shard submission into
-// the shard executors, completion reaping through a private inbox. Like
-// MultiQueue it is single-owner; unlike MultiQueue its times are measured.
-// The worker's virtual clock is anchored to the wall clock at the first
-// submit after a drain, so a batch's issue/completion stamps advance by
-// real elapsed time.
+// FileQueue is a queue pair over a FileBackend. Under io_uring it leases
+// a ring from the backend at the first submit after a drain and stamps
+// one SQE per page into it; Drain hands them all to the kernel and waits
+// for every completion in one io_uring_enter, then reaps inline on the
+// calling goroutine (file_ring.go). Under the pread fallback it enqueues
+// on the shard pools and reaps through a private inbox. Like MultiQueue
+// it is single-owner; unlike MultiQueue its times are measured. The
+// worker's virtual clock is anchored to the wall clock at the first
+// submit after a drain, so a batch's completion stamps advance by real
+// elapsed time.
 type FileQueue struct {
 	fb       *FileBackend
-	inbox    compInbox
 	pending  int
 	inflight []int // per-shard submitted-not-drained
 	high     []int
-	merged   []Completion
-	scratch  []fileComp
+	done     []Completion // this batch's completions so far
+	merged   []Completion // the last Drain's result
+
+	// io_uring: the leased ring and this batch's reads, indexed by tag.
+	ring    *uringRing
+	reads   []ringRead
+	entered int // reads[:entered] have been handed to the kernel
+	reaped  int // reads completed (reaped or failed with the ring)
+
+	// pread fallback.
+	inbox   compInbox
+	scratch []fileComp
 
 	anchorWall int64
 	anchorVirt int64
@@ -539,9 +560,13 @@ func (q *FileQueue) virtOf(wall int64) int64 {
 func (q *FileQueue) NumShards() int { return len(q.inflight) }
 
 // Submit implements QueuePair: it acquires a completion buffer from the
-// shard's freelist and enqueues the read on the shard's executor,
-// blocking while the submission ring is full — real backpressure in place
-// of the simulator's virtual queue-full wait.
+// shard's freelist and queues the read. On io_uring it only stamps an SQE
+// — no syscall unless the leased ring is full, in which case it submits
+// what is stamped and reaps at least one completion first. On the pread
+// pools it blocks while the shard's submission channel is full. Either
+// way that is real backpressure in place of the simulator's virtual
+// queue-full wait. The returned issue time is the batch's anchor (or
+// nowNS if later); Submit reads the wall clock only to set the anchor.
 func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 	shard, local := q.fb.ShardOf(page)
 	if q.pending == 0 {
@@ -551,19 +576,19 @@ func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 	buf := q.fb.getBuf(shard)
 	buf.rc.Store(1)
 	buf.img = nil
-	submitWall := q.fb.wallNS()
-	issue := q.virtOf(submitWall)
-	if issue < nowNS {
-		issue = nowNS
+	issue := max(nowNS, q.anchorVirt)
+	if q.fb.rings != nil {
+		q.submitRing(ringRead{page: page, local: local, shard: shard, buf: buf, submitVirt: issue})
+	} else {
+		q.fb.pread[shard].submit(fileReq{
+			global:     page,
+			local:      local,
+			buf:        buf,
+			out:        &q.inbox,
+			submitWall: q.fb.wallNS(),
+			submitVirt: issue,
+		})
 	}
-	q.fb.execs[shard].submit(fileReq{
-		global:     page,
-		local:      local,
-		buf:        buf,
-		out:        &q.inbox,
-		submitWall: submitWall,
-		submitVirt: issue,
-	})
 	q.pending++
 	q.inflight[shard]++
 	if q.inflight[shard] > q.high[shard] {
@@ -574,8 +599,8 @@ func (q *FileQueue) Submit(page PageID, nowNS int64) int64 {
 
 // ShardOutstanding implements QueuePair: submitted-not-drained commands on
 // the shard. Real completions arrive asynchronously, so this is the upper
-// bound the load-balancing signals want (work this queue has in the
-// shard's ring).
+// bound the load-balancing signals want (work this queue has in flight on
+// the shard).
 func (q *FileQueue) ShardOutstanding(shard int, _ int64) int { return q.inflight[shard] }
 
 // Outstanding implements QueuePair.
@@ -591,20 +616,17 @@ func (q *FileQueue) HighWater(shard int) int { return q.high[shard] }
 // surface with a nil Buf. The slice is reused by the next Drain.
 func (q *FileQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 	doneNS = nowNS
-	q.merged = q.merged[:0]
 	if q.pending == 0 {
+		q.merged = q.merged[:0]
 		return doneNS, q.merged
 	}
-	q.scratch = q.inbox.take(q.pending, q.scratch)
-	for i := range q.scratch {
-		fc := &q.scratch[i]
-		c := Completion{
-			Page:       fc.global,
-			SubmitNS:   fc.submitVirt,
-			CompleteNS: q.virtOf(fc.completeWall),
-			Err:        fc.err,
-			Buf:        fc.buf,
-		}
+	if q.fb.rings != nil {
+		q.drainRing()
+	} else {
+		q.drainPread()
+	}
+	for i := range q.done {
+		c := &q.done[i]
 		if c.CompleteNS <= c.SubmitNS {
 			// Clock granularity can collapse a fast read to zero width;
 			// keep completion strictly after submission for monotone stats.
@@ -614,17 +636,11 @@ func (q *FileQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 			c.Buf.Release()
 			c.Buf = nil
 		}
-		if c.CompleteNS > doneNS {
-			doneNS = c.CompleteNS
-		}
-		q.merged = append(q.merged, c)
-		fc.buf = nil
+		doneNS = max(doneNS, c.CompleteNS)
 	}
-	q.scratch = q.scratch[:0]
+	q.merged, q.done = q.done, q.merged[:0]
 	q.pending = 0
-	for i := range q.inflight {
-		q.inflight[i] = 0
-	}
+	clear(q.inflight)
 	// Insertion sort instead of sort.Slice: completion batches are small
 	// and the hot path must not allocate (sort.Slice's closure does).
 	m := q.merged
@@ -640,4 +656,21 @@ func (q *FileQueue) Drain(nowNS int64) (doneNS int64, comps []Completion) {
 	}
 	q.fb.advanceFrontier(doneNS)
 	return doneNS, q.merged
+}
+
+// drainPread waits for the pread pools to deliver the batch.
+func (q *FileQueue) drainPread() {
+	q.scratch = q.inbox.take(q.pending, q.scratch)
+	for i := range q.scratch {
+		fc := &q.scratch[i]
+		q.done = append(q.done, Completion{
+			Page:       fc.global,
+			SubmitNS:   fc.submitVirt,
+			CompleteNS: q.virtOf(fc.completeWall),
+			Err:        fc.err,
+			Buf:        fc.buf,
+		})
+		fc.buf = nil
+	}
+	q.scratch = q.scratch[:0]
 }

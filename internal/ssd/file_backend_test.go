@@ -11,13 +11,19 @@ import (
 )
 
 // buildBackendFiles writes a sharded store to disk and opens it per shard.
-func buildBackendFiles(t *testing.T, shards int) ([]*store.FileStore, *store.Sharded, *layout.Layout) {
+func buildBackendFiles(t testing.TB, shards int) ([]*store.FileStore, *store.Sharded, *layout.Layout) {
+	return buildBackendFilesN(t, shards, 200)
+}
+
+// buildBackendFilesN is buildBackendFiles over a store of the given key
+// count (about 56 keys per page).
+func buildBackendFilesN(t testing.TB, shards, keys int) ([]*store.FileStore, *store.Sharded, *layout.Layout) {
 	t.Helper()
 	syn, err := embedding.NewSynthesizer(16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lay := layout.Vanilla(200, embedding.PageCapacity(4096, 16))
+	lay := layout.Vanilla(keys, embedding.PageCapacity(4096, 16))
 	sh, err := store.BuildSharded(lay, syn, 4096, shards)
 	if err != nil {
 		t.Fatal(err)

@@ -4,20 +4,20 @@ package ssd
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
 
-// io_uring executor: a per-shard submission/completion ring driven through
-// raw syscalls (io_uring_setup/io_uring_enter are numbered identically on
-// every 64-bit Linux arch, having landed after the syscall-table
-// unification). One driver goroutine owns the ring: it gathers requests
-// from the submission channel, stamps SQEs, and reaps CQEs, so no ring
-// memory is ever touched concurrently from the Go side. Sandboxed kernels
-// (seccomp) commonly deny io_uring_setup; the probe fails soft and the
-// backend falls back to the pread pool.
+// io_uring through raw syscalls (io_uring_setup/io_uring_enter are
+// numbered identically on every 64-bit Linux arch, having landed after
+// the syscall-table unification). A ring is leased to one queue pair for
+// one submit→drain batch, so its memory is never touched concurrently
+// from the Go side. No IORING_SETUP_SINGLE_ISSUER or DEFER_TASKRUN: the
+// goroutine driving a lease may migrate between OS threads, and
+// successive leases run on different goroutines. Sandboxed kernels
+// (seccomp) commonly deny io_uring_setup; the backend's construction
+// probe fails soft and falls back to the pread pool.
 const (
 	sysIOURingSetup = 425
 	sysIOURingEnter = 426
@@ -52,7 +52,7 @@ type ioUringParams struct {
 }
 
 // ioUringSqe is the 64-byte submission queue entry (fields past userData
-// are padding for the ops this executor issues).
+// are padding for the ops this package issues).
 type ioUringSqe struct {
 	opcode   uint8
 	flags    uint8
@@ -73,281 +73,168 @@ type ioUringCqe struct {
 	flags    uint32
 }
 
-// uringExec drives one shard's reads through an io_uring ring.
-type uringExec struct {
-	fb    *FileBackend
-	shard int
-	fd    int
-	reqC  chan fileReq
-	wg    sync.WaitGroup
+// uringRing is one io_uring instance with its mappings. At most
+// len(iovecs) reads are stamped or in the kernel at once, which keeps the
+// completion ring (twice the submission ring) from overflowing. Each read
+// holds an iovec slot from stamp to reap; the slot's Iovec also keeps the
+// read's buffer reachable while the kernel may write into it.
+type uringRing struct {
+	fd int
 
-	sqRing, cqRing, sqeMem []byte // mappings (sqRing may alias cqRing)
+	sqRing, cqRing, sqeMem []byte // mappings (cqRing nil when it aliases sqRing)
 
 	sqHead, sqTail, sqMask *uint32
 	cqHead, cqTail, cqMask *uint32
 	sqArray                []uint32
 	sqes                   []ioUringSqe
 	cqes                   []ioUringCqe
-	entries                uint32
 
-	slots     []uringSlot
-	iovecs    []syscall.Iovec
-	freeSlots []uint32
+	iovecs   []syscall.Iovec
+	freeIovs []uint32
+
+	enters int // io_uring_enter calls made; read by tests between leases
 }
 
-// uringSlot tracks one in-kernel read.
-type uringSlot struct {
-	req     fileReq
-	pageOff int
-}
-
-// newRingExecutor probes io_uring and builds a ring executor for the
-// shard, reporting false when the kernel interface is unavailable (old
-// kernel, seccomp) so the caller falls back to the pread pool.
-func newRingExecutor(fb *FileBackend, shard, depth int) (fileExecutor, bool) {
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > ioringMaxEntries {
-		depth = ioringMaxEntries
-	}
+// newURing sets up a ring with at least depth submission entries.
+func newURing(depth int) (*uringRing, error) {
+	depth = min(max(depth, 1), ioringMaxEntries)
 	var params ioUringParams
 	r1, _, errno := syscall.Syscall(sysIOURingSetup, uintptr(depth), uintptr(unsafe.Pointer(&params)), 0)
 	if errno != 0 {
-		return nil, false
+		return nil, errno
 	}
-	e := &uringExec{
-		fb:    fb,
-		shard: shard,
-		fd:    int(r1),
-		reqC:  make(chan fileReq, depth),
+	r := &uringRing{fd: int(r1)}
+	if err := r.mapRings(&params); err != nil {
+		syscall.Close(r.fd)
+		return nil, err
 	}
-	if err := e.mapRings(&params); err != nil {
-		syscall.Close(e.fd)
-		return nil, false
+	r.iovecs = make([]syscall.Iovec, params.sqEntries)
+	r.freeIovs = make([]uint32, params.sqEntries)
+	for i := range r.freeIovs {
+		r.freeIovs[i] = uint32(i)
 	}
-	e.entries = params.sqEntries
-	e.slots = make([]uringSlot, e.entries)
-	e.iovecs = make([]syscall.Iovec, e.entries)
-	e.freeSlots = make([]uint32, e.entries)
-	for i := range e.freeSlots {
-		e.freeSlots[i] = uint32(i)
-	}
-	e.wg.Add(1)
-	go e.run()
-	return e, true
+	return r, nil
 }
 
 // mapRings mmaps the submission/completion rings and the SQE array.
-func (e *uringExec) mapRings(p *ioUringParams) error {
+func (r *uringRing) mapRings(p *ioUringParams) error {
 	sqSize := int(p.sqOff.array) + int(p.sqEntries)*4
 	cqSize := int(p.cqOff.cqes) + int(p.cqEntries)*int(unsafe.Sizeof(ioUringCqe{}))
 	single := p.features&ioringFeatSingleMmap != 0
 	if single && cqSize > sqSize {
 		sqSize = cqSize
 	}
-	sq, err := syscall.Mmap(e.fd, ioringOffSQRing, sqSize,
+	sq, err := syscall.Mmap(r.fd, ioringOffSQRing, sqSize,
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
 		return err
 	}
-	e.sqRing = sq
+	r.sqRing = sq
 	cq := sq
 	if !single {
-		cq, err = syscall.Mmap(e.fd, ioringOffCQRing, cqSize,
+		cq, err = syscall.Mmap(r.fd, ioringOffCQRing, cqSize,
 			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 		if err != nil {
 			syscall.Munmap(sq)
 			return err
 		}
-		e.cqRing = cq
+		r.cqRing = cq
 	}
-	sqes, err := syscall.Mmap(e.fd, ioringOffSQEs, int(p.sqEntries)*int(unsafe.Sizeof(ioUringSqe{})),
+	sqes, err := syscall.Mmap(r.fd, ioringOffSQEs, int(p.sqEntries)*int(unsafe.Sizeof(ioUringSqe{})),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
 	if err != nil {
-		if e.cqRing != nil {
-			syscall.Munmap(e.cqRing)
+		if r.cqRing != nil {
+			syscall.Munmap(r.cqRing)
 		}
 		syscall.Munmap(sq)
 		return err
 	}
-	e.sqeMem = sqes
+	r.sqeMem = sqes
 
-	e.sqHead = (*uint32)(unsafe.Pointer(&sq[p.sqOff.head]))
-	e.sqTail = (*uint32)(unsafe.Pointer(&sq[p.sqOff.tail]))
-	e.sqMask = (*uint32)(unsafe.Pointer(&sq[p.sqOff.ringMask]))
-	e.sqArray = unsafe.Slice((*uint32)(unsafe.Pointer(&sq[p.sqOff.array])), p.sqEntries)
-	e.sqes = unsafe.Slice((*ioUringSqe)(unsafe.Pointer(&sqes[0])), p.sqEntries)
+	r.sqHead = (*uint32)(unsafe.Pointer(&sq[p.sqOff.head]))
+	r.sqTail = (*uint32)(unsafe.Pointer(&sq[p.sqOff.tail]))
+	r.sqMask = (*uint32)(unsafe.Pointer(&sq[p.sqOff.ringMask]))
+	r.sqArray = unsafe.Slice((*uint32)(unsafe.Pointer(&sq[p.sqOff.array])), p.sqEntries)
+	r.sqes = unsafe.Slice((*ioUringSqe)(unsafe.Pointer(&sqes[0])), p.sqEntries)
 
-	e.cqHead = (*uint32)(unsafe.Pointer(&cq[p.cqOff.head]))
-	e.cqTail = (*uint32)(unsafe.Pointer(&cq[p.cqOff.tail]))
-	e.cqMask = (*uint32)(unsafe.Pointer(&cq[p.cqOff.ringMask]))
-	e.cqes = unsafe.Slice((*ioUringCqe)(unsafe.Pointer(&cq[p.cqOff.cqes])), p.cqEntries)
+	r.cqHead = (*uint32)(unsafe.Pointer(&cq[p.cqOff.head]))
+	r.cqTail = (*uint32)(unsafe.Pointer(&cq[p.cqOff.tail]))
+	r.cqMask = (*uint32)(unsafe.Pointer(&cq[p.cqOff.ringMask]))
+	r.cqes = unsafe.Slice((*ioUringCqe)(unsafe.Pointer(&cq[p.cqOff.cqes])), p.cqEntries)
 	return nil
 }
 
-func (e *uringExec) submit(r fileReq) { e.reqC <- r }
-func (e *uringExec) kind() string     { return "io_uring" }
+// full reports whether every read slot is stamped or in the kernel.
+func (r *uringRing) full() bool { return len(r.freeIovs) == 0 }
 
-func (e *uringExec) close() {
-	close(e.reqC)
-	e.wg.Wait()
-}
-
-// run is the ring driver: gather → stamp SQEs → enter → reap, until the
-// request channel closes and the last in-kernel read drains.
-func (e *uringExec) run() {
-	defer e.wg.Done()
-	defer e.teardown()
-	fs := e.fb.files[e.shard]
-	fd := int32(fs.File().Fd())
-	inflight := 0
-	open := true
-	for open || inflight > 0 {
-		// Gather: block only when the ring is empty (nothing to wait on).
-		queued := 0
-		if inflight == 0 && open {
-			r, ok := <-e.reqC
-			if !ok {
-				open = false
-			} else if e.prep(fd, r) {
-				queued++
-			}
-		}
-	gather:
-		for open && len(e.freeSlots) > 0 {
-			select {
-			case r, ok := <-e.reqC:
-				if !ok {
-					open = false
-					break gather
-				}
-				if e.prep(fd, r) {
-					queued++
-				}
-			default:
-				break gather
-			}
-		}
-		inflight += queued
-		if inflight == 0 {
-			continue
-		}
-		// Submit what was stamped and wait for at least one completion.
-		// Retrying the same to_submit after EINTR is safe: consumption is
-		// bounded by the SQ head the kernel already advanced.
-		for {
-			_, _, errno := syscall.Syscall6(sysIOURingEnter, uintptr(e.fd),
-				uintptr(queued), 1, ioringEnterGetevents, 0, 0)
-			if errno == syscall.EINTR {
-				continue
-			}
-			if errno != 0 {
-				// Ring is wedged; fail everything in flight.
-				e.failAll(errno, &inflight)
-			}
-			break
-		}
-		inflight -= e.reap()
-	}
-}
-
-// prep stamps one request into a free SQE slot; on a bad page it
-// completes the request immediately with the error and stamps nothing.
-func (e *uringExec) prep(fd int32, r fileReq) bool {
-	off, span, pageOff, err := e.fb.files[e.shard].PageSpan(r.local)
-	if err != nil {
-		e.complete(r, err)
-		return false
-	}
-	si := e.freeSlots[len(e.freeSlots)-1]
-	e.freeSlots = e.freeSlots[:len(e.freeSlots)-1]
-	e.slots[si] = uringSlot{req: r, pageOff: pageOff}
-	e.iovecs[si] = syscall.Iovec{Base: &r.buf.data[0], Len: uint64(span)}
-
-	tail := atomic.LoadUint32(e.sqTail)
-	idx := tail & *e.sqMask
-	e.sqes[idx] = ioUringSqe{
+// stamp queues one readv of dst at off in fd, tagged for pop. The caller
+// checks full first; nothing reaches the kernel until enter.
+func (r *uringRing) stamp(fd int32, off int64, dst []byte, tag uint32) {
+	slot := r.freeIovs[len(r.freeIovs)-1]
+	r.freeIovs = r.freeIovs[:len(r.freeIovs)-1]
+	r.iovecs[slot] = syscall.Iovec{Base: &dst[0], Len: uint64(len(dst))}
+	tail := atomic.LoadUint32(r.sqTail)
+	idx := tail & *r.sqMask
+	r.sqes[idx] = ioUringSqe{
 		opcode:   ioringOpReadv,
 		fd:       fd,
 		off:      uint64(off),
-		addr:     uint64(uintptr(unsafe.Pointer(&e.iovecs[si]))),
+		addr:     uint64(uintptr(unsafe.Pointer(&r.iovecs[slot]))),
 		len:      1,
-		userData: uint64(si),
+		userData: uint64(slot)<<32 | uint64(tag),
 	}
-	e.sqArray[idx] = idx
-	atomic.StoreUint32(e.sqTail, tail+1)
-	return true
+	r.sqArray[idx] = idx
+	atomic.StoreUint32(r.sqTail, tail+1)
 }
 
-// reap drains the completion ring, finishing each read.
-func (e *uringExec) reap() int {
-	n := 0
-	head := atomic.LoadUint32(e.cqHead)
-	tail := atomic.LoadUint32(e.cqTail)
-	for head != tail {
-		cqe := e.cqes[head&*e.cqMask]
-		head++
-		si := uint32(cqe.userData)
-		slot := e.slots[si]
-		e.slots[si] = uringSlot{}
-		e.freeSlots = append(e.freeSlots, si)
-		var err error
-		got := 0
-		if cqe.res < 0 {
-			err = fmt.Errorf("ssd: io_uring read: %w", syscall.Errno(-cqe.res))
-		} else {
-			got = int(cqe.res)
+// enter hands every stamped SQE to the kernel and waits until at least
+// want completions are ready to pop: one io_uring_enter, repeated only
+// after EINTR or a short submit. Retrying is safe because each round
+// recomputes both counts from the ring indexes the kernel maintains.
+func (r *uringRing) enter(want int) error {
+	for {
+		queued := atomic.LoadUint32(r.sqTail) - atomic.LoadUint32(r.sqHead)
+		ready := atomic.LoadUint32(r.cqTail) - *r.cqHead
+		if queued == 0 && int(ready) >= want {
+			return nil
 		}
-		if cerr := e.fb.files[e.shard].CheckSpanRead(slot.req.local, slot.pageOff, got, err); cerr != nil {
-			e.complete(slot.req, cerr)
-		} else {
-			slot.req.buf.img = slot.req.buf.data[slot.pageOff : slot.pageOff+e.fb.files[e.shard].PageSize()]
-			e.complete(slot.req, nil)
+		r.enters++
+		_, _, errno := syscall.Syscall6(sysIOURingEnter, uintptr(r.fd),
+			uintptr(queued), uintptr(want), ioringEnterGetevents, 0, 0)
+		if errno != 0 && errno != syscall.EINTR {
+			return errno
 		}
-		n++
-	}
-	atomic.StoreUint32(e.cqHead, head)
-	return n
-}
-
-// failAll completes every in-kernel read with errno (enter failed hard).
-func (e *uringExec) failAll(errno syscall.Errno, inflight *int) {
-	for si := range e.slots {
-		if e.slots[si].req.out == nil {
-			continue
-		}
-		e.complete(e.slots[si].req, fmt.Errorf("ssd: io_uring enter: %w", errno))
-		e.slots[si] = uringSlot{}
-		e.freeSlots = append(e.freeSlots, uint32(si))
-		*inflight--
 	}
 }
 
-// complete records the read outcome and pushes the completion.
-func (e *uringExec) complete(r fileReq, err error) {
-	end := e.fb.wallNS()
-	e.fb.shards[e.shard].recordExternalRead(end-r.submitWall, err, false)
-	e.fb.hists[e.shard].observe(end - r.submitWall)
-	r.out.push(fileComp{
-		global:       r.global,
-		buf:          r.buf,
-		err:          err,
-		submitVirt:   r.submitVirt,
-		completeWall: end,
-	})
+// pop takes the next ready completion, returning its stamp tag and the
+// bytes read or the read's error, and frees its read slot.
+func (r *uringRing) pop() (tag uint32, n int, err error, ok bool) {
+	head := *r.cqHead
+	if head == atomic.LoadUint32(r.cqTail) {
+		return 0, 0, nil, false
+	}
+	cqe := r.cqes[head&*r.cqMask]
+	atomic.StoreUint32(r.cqHead, head+1)
+	slot := uint32(cqe.userData >> 32)
+	r.iovecs[slot] = syscall.Iovec{}
+	r.freeIovs = append(r.freeIovs, slot)
+	if cqe.res < 0 {
+		return uint32(cqe.userData), 0, fmt.Errorf("ssd: io_uring read: %w", syscall.Errno(-cqe.res)), true
+	}
+	return uint32(cqe.userData), int(cqe.res), nil, true
 }
 
-// teardown unmaps the rings and closes the ring fd.
-func (e *uringExec) teardown() {
-	if e.sqeMem != nil {
-		syscall.Munmap(e.sqeMem)
+// close unmaps the rings and closes the ring fd.
+func (r *uringRing) close() {
+	if r.sqeMem != nil {
+		syscall.Munmap(r.sqeMem)
 	}
-	if e.cqRing != nil {
-		syscall.Munmap(e.cqRing)
+	if r.cqRing != nil {
+		syscall.Munmap(r.cqRing)
 	}
-	if e.sqRing != nil {
-		syscall.Munmap(e.sqRing)
+	if r.sqRing != nil {
+		syscall.Munmap(r.sqRing)
 	}
-	syscall.Close(e.fd)
+	syscall.Close(r.fd)
 }
