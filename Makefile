@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-shard race-rebuild race-tier race-coact race-file alloc-guard ftoa-exhaustive vet vet-tool lint staticcheck bench verify experiments
+.PHONY: build test race race-shard race-rebuild race-tier race-coact race-file alloc-guard ftoa-exhaustive vet vet-tool lint staticcheck perfbench-check bench verify experiments
 
 build:
 	$(GO) build ./...
@@ -74,9 +74,10 @@ race-coact:
 # (32 concurrent queue pairs, full-ring pumps, short reads, Close), the
 # pread pool and freelist paths, io_uring-vs-pread differential serving,
 # zero-copy ref lifetimes across retained buffers, the server's
-# lease/encode handoff, and the public WithFileBackend surface.
+# lease/encode handoff, /metrics scraped under file-backend and coalescer
+# load, and the public WithFileBackend surface.
 race-file:
-	$(GO) test -race -count=3 -run 'TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram' ./internal/ssd ./internal/serving ./internal/server
+	$(GO) test -race -count=3 -run 'TestFile|TestPageBuf|TestPread|TestUring|TestLookupBinary|TestLookupJSONOverFileBackend|TestMetricsBackendLatencyHistogram|TestMetricsHistogramsUnderLoad' ./internal/ssd ./internal/serving ./internal/server
 	$(GO) test -race -count=3 -run 'TestFileBackend' .
 
 # The zero-copy hot path's hard allocation gate: once warm, a cacheless
@@ -93,13 +94,19 @@ alloc-guard:
 ftoa-exhaustive:
 	$(GO) test -count=1 -tags exhaustive -run TestAppendFloat32Exhaustive -timeout 60m -v ./internal/server
 
+# The benchmark harness is its own module (perfbench/go.mod), so the
+# root `./...` never compiles it; it imports the server, serving and ssd
+# APIs, so vet and test it here.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The full pre-merge gate: static checks (including the repo's own
-# analyzer suite), build, and the test suite under the race detector
-# (the serving engine and HTTP layer are concurrent).
-verify: vet lint staticcheck build race race-shard race-rebuild race-tier race-coact race-file alloc-guard
+# analyzer suite), build, the test suite under the race detector (the
+# serving engine and HTTP layer are concurrent), and the benchmark module.
+verify: vet lint staticcheck build race race-shard race-rebuild race-tier race-coact race-file alloc-guard perfbench-check
 
 experiments:
 	$(GO) run ./cmd/experiments

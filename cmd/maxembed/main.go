@@ -251,7 +251,7 @@ func cmdServe(args []string) error {
 	seed := fs.Int64("seed", 1, "placement seed")
 	cacheRatio := fs.Float64("cache", 0.1, "DRAM cache size as a fraction of the table")
 	workers := fs.Int("workers", 8, "closed-loop serving workers")
-	device := fs.String("device", "P5800X", "SSD profile (P5800X|P4510|RAID0)")
+	device := fs.String("device", "P5800X", "SSD (P5800X|P4510|RAID0: a 2-device P5800X array)")
 	indexLimit := fs.Int("k", 10, "index-shrinking limit (0 = unlimited)")
 	noPipeline := fs.Bool("no-pipeline", false, "disable selection/IO pipelining")
 	greedy := fs.Bool("greedy", false, "use classic greedy set-cover selection")
@@ -286,24 +286,26 @@ func cmdServe(args []string) error {
 			return err
 		}
 	}
-	var prof ssd.Profile
+	var be ssd.Backend
+	var err error
 	switch *device {
 	case "P5800X":
-		prof = ssd.P5800X
+		be, err = ssd.NewDevice(ssd.P5800X)
 	case "P4510":
-		prof = ssd.P4510
+		be, err = ssd.NewDevice(ssd.P4510)
 	case "RAID0":
-		prof = ssd.RAID0(ssd.P5800X, 2)
+		// Two P5800X striped at page granularity, each with its own queues.
+		be, err = ssd.NewArray(ssd.P5800X, 2)
 	default:
 		return fmt.Errorf("unknown device %q", *device)
 	}
-	dev, err := ssd.NewDevice(prof)
 	if err != nil {
 		return err
 	}
+	prof := be.Profile()
 	cfg := serving.Config{
 		Layout:       lay,
-		Device:       dev,
+		Backend:      be,
 		CacheEntries: int(*cacheRatio * float64(lay.NumKeys)),
 		IndexLimit:   *indexLimit,
 		Pipeline:     !*noPipeline,

@@ -63,8 +63,7 @@ func Fig17a(cfg Config) error {
 // P5800X) on Alibaba-iFashion. Paper: the relative improvements are
 // consistent across devices; only the absolute bandwidth scale differs.
 // The RAID-0 point runs on a real two-device ssd.Array (independent
-// per-shard queues, shard-aware replica placement), not the coarse
-// ssd.RAID0 merged-profile approximation.
+// per-shard queues, shard-aware replica placement).
 func Fig17b(cfg Config) error {
 	cfg = cfg.withDefaults()
 	pr, err := prepare(cfg, workload.AlibabaIFashion)

@@ -244,14 +244,33 @@ func (h *IntHist) Mean() float64 {
 	return float64(h.sum) / float64(h.total)
 }
 
-// Bucket returns the count of value v (0 for out-of-range v).
-func (h *IntHist) Bucket(v int) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if v < 0 || v >= len(h.counts) {
+// IntHistSnapshot is a copy of an IntHist taken under one lock, so its
+// counts and overflow sum to Total.
+type IntHistSnapshot struct {
+	Counts   []int64 // Counts[v] is how many recorded values equalled v, v in [0, max]
+	Overflow int64   // values above max
+	Total    int64
+	Sum      int64
+}
+
+// Mean returns the mean recorded value, or 0 if empty.
+func (s IntHistSnapshot) Mean() float64 {
+	if s.Total == 0 {
 		return 0
 	}
-	return h.counts[v]
+	return float64(s.Sum) / float64(s.Total)
+}
+
+// Snapshot returns a consistent copy of the histogram.
+func (h *IntHist) Snapshot() IntHistSnapshot {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return IntHistSnapshot{
+		Counts:   append([]int64(nil), h.counts...),
+		Overflow: h.overflow,
+		Total:    h.total,
+		Sum:      h.sum,
+	}
 }
 
 // CDF returns, for each value v in [0, max], the fraction of recorded

@@ -117,8 +117,8 @@ func TestIntHist(t *testing.T) {
 	if h.Count() != 21 {
 		t.Errorf("Count = %d, want 21", h.Count())
 	}
-	if got := h.Bucket(3); got != 4 {
-		t.Errorf("Bucket(3) = %d, want 4", got)
+	if got := h.Snapshot().Counts[3]; got != 4 {
+		t.Errorf("Counts[3] = %d, want 4", got)
 	}
 	wantMean := float64(0*1+1*2+2*3+3*4+4*5+5*6) / 21
 	if math.Abs(h.Mean()-wantMean) > 1e-9 {
@@ -156,8 +156,8 @@ func TestIntHistOverflow(t *testing.T) {
 	if h.Mean() != 5.5 {
 		t.Errorf("Mean = %v, want 5.5 (overflow contributes)", h.Mean())
 	}
-	if h.Bucket(10) != 0 {
-		t.Error("Bucket(10) should be 0")
+	if s := h.Snapshot(); s.Overflow != 1 || s.Total != 2 || s.Counts[1] != 1 {
+		t.Errorf("Snapshot = %+v, want overflow 1 of 2 with one 1", s)
 	}
 }
 

@@ -60,34 +60,37 @@ type nodeHealth struct {
 	ready  bool
 	rate   float64 // global rolling read-fault rate
 	events int64   // reads the global window covers
-	// Shard detail; Shards is nil on single-device backends (the legacy
-	// global-window verdict applies there unchanged).
-	shards     []ssd.ShardHealthInfo
+	// Shard detail; perShard is false on single-device backends (the
+	// legacy global-window verdict applies there unchanged).
+	perShard   bool
 	deadShards int
 	liveRate   float64 // fault rate pooled over live shards only
 	liveEvents int64
 }
 
-// nodeHealth computes the readiness verdict. Without shard health the
-// verdict is the legacy one: global window rate vs threshold. With it,
-// dead shards below the tolerance no longer flip the node — their faults
-// are excluded and readiness asks (a) are too many shards dead, and
-// (b) are the *surviving* shards faulting beyond the threshold.
-func (h *Handler) nodeHealth() nodeHealth {
+// nodeHealth computes the readiness verdict of backend be. Without shard
+// health the verdict is the legacy one: global window rate vs threshold.
+// With it, dead shards below the tolerance no longer flip the node — their
+// faults are excluded and readiness asks (a) are too many shards dead,
+// and (b) are the *surviving* shards faulting beyond the threshold. Each
+// shard's health is read once and, when visit is non-nil, handed to it,
+// so a caller reporting the shards reports the ones the verdict judged.
+func (h *Handler) nodeHealth(be ssd.Backend, visit func(i int, info ssd.ShardHealthInfo)) nodeHealth {
 	var nh nodeHealth
 	nh.rate, nh.events = h.window.Rate()
-	be := h.curBackend()
 	hr, ok := be.(ssd.HealthReporter)
 	if !ok {
 		nh.ready = nh.events < h.minEvents || nh.rate <= h.threshold
 		return nh
 	}
+	nh.perShard = true
 	n := be.NumShards()
-	nh.shards = make([]ssd.ShardHealthInfo, n)
 	var liveFaults, liveReads float64
 	for i := 0; i < n; i++ {
 		info := hr.ShardHealth(i)
-		nh.shards[i] = info
+		if visit != nil {
+			visit(i, info)
+		}
 		if !info.State.Live() {
 			nh.deadShards++
 			continue

@@ -11,7 +11,6 @@ import (
 
 	"maxembed/internal/embedding"
 	"maxembed/internal/hypergraph"
-	"maxembed/internal/layout"
 	"maxembed/internal/placement"
 	"maxembed/internal/serving"
 	"maxembed/internal/ssd"
@@ -21,11 +20,23 @@ import (
 
 // testAdmin implements ShardAdmin and Scrubber over a sharded serving
 // stack, the way maxembed.DB does in production: rebuilds swap a fresh
-// engine over the repaired array into the shared handle.
+// engine, built from cfg over the repaired array, into the shared handle.
 type testAdmin struct {
 	handle *serving.Swappable
-	lay    *layout.Layout
+	cfg    serving.Config
 	sh     *store.Sharded
+}
+
+// swapOver builds an engine from cfg over be and swaps it into the handle.
+func (a *testAdmin) swapOver(be ssd.Backend) error {
+	cfg := a.cfg
+	cfg.Backend = be
+	eng, err := serving.New(cfg)
+	if err != nil {
+		return err
+	}
+	_, err = a.handle.Swap(eng)
+	return err
 }
 
 func (a *testAdmin) cur() *ssd.Array {
@@ -46,16 +57,7 @@ func (a *testAdmin) RebuildShard(ctx context.Context, shard int, cfg serving.Reb
 	if err != nil {
 		return rep, err
 	}
-	eng, err := serving.New(serving.Config{
-		Layout: a.lay, Backend: nb, Store: a.sh, IndexLimit: 10, Pipeline: true,
-	})
-	if err != nil {
-		return rep, err
-	}
-	if _, err := a.handle.Swap(eng); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, a.swapOver(nb)
 }
 
 func (a *testAdmin) Scrub(ctx context.Context, cfg serving.ScrubConfig) (serving.ScrubReport, error) {
@@ -105,14 +107,13 @@ func newAdminServer(t *testing.T) (*httptest.Server, *testAdmin, *workload.Trace
 	if err := arr.AttachSpare(spare); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := serving.New(serving.Config{
-		Layout: lay, Backend: arr, Store: sh, IndexLimit: 10, Pipeline: true,
-	})
+	cfg := serving.Config{Layout: lay, Backend: arr, Store: sh, IndexLimit: 10, Pipeline: true}
+	eng, err := serving.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	handle := serving.NewSwappable(eng)
-	admin := &testAdmin{handle: handle, lay: lay, sh: sh}
+	admin := &testAdmin{handle: handle, cfg: cfg, sh: sh}
 	h := NewDynamic(handle, arr, WithShardAdmin(admin), WithScrub(admin))
 	srv := httptest.NewServer(h)
 	t.Cleanup(func() {

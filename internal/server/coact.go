@@ -1,9 +1,6 @@
 package server
 
 import (
-	"fmt"
-	"net/http"
-
 	"maxembed/internal/placement"
 	"maxembed/internal/serving"
 )
@@ -91,25 +88,4 @@ func (h *Handler) coactStats(eng *serving.Engine) *CoactStatsEntry {
 		}
 	}
 	return out
-}
-
-// coactMetrics renders the co-activation gauges in Prometheus exposition
-// format; a no-op on one-shard backends.
-func (h *Handler) coactMetrics(w http.ResponseWriter, eng *serving.Engine) {
-	cs := h.coactStats(eng)
-	if cs == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_coact_mean_max_shard_depth gauge\nmaxembed_coact_mean_max_shard_depth %g\n", cs.MeanMaxShardDepth)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_depth_queries gauge\nmaxembed_coact_depth_queries %d\n", cs.Queries)
-	p := cs.Placement
-	if p == nil {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_coact_moved_pages gauge\nmaxembed_coact_moved_pages %d\n", p.MovedPages)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_edges_scored gauge\nmaxembed_coact_edges_scored %d\n", p.EdgesScored)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_mean_depth_before gauge\nmaxembed_coact_mean_depth_before %g\n", p.MeanDepthBefore)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_mean_depth_after gauge\nmaxembed_coact_mean_depth_after %g\n", p.MeanDepthAfter)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_replica_collisions gauge\nmaxembed_coact_replica_collisions %d\n", p.ReplicaCollisionsAfter)
-	fmt.Fprintf(w, "# TYPE maxembed_coact_uncovered_keys gauge\nmaxembed_coact_uncovered_keys %d\n", p.UncoveredKeysAfter)
 }

@@ -253,9 +253,10 @@ type CoalescerStats struct {
 	WaitP99NS     int64   `json:"wait_p99_ns"`
 }
 
-// stats snapshots the coalescer's counters.
-func (c *coalescer) stats() CoalescerStats {
+// stats snapshots the coalescer's counters and its batch-size histogram.
+func (c *coalescer) stats() (CoalescerStats, metrics.IntHistSnapshot) {
 	ws := c.waits.Snapshot()
+	sizes := c.batchSizes.Snapshot()
 	return CoalescerStats{
 		Enabled:       true,
 		MaxBatch:      c.maxBatch,
@@ -265,8 +266,8 @@ func (c *coalescer) stats() CoalescerStats {
 		Coalesced:     c.coalesced.Load(),
 		Shed:          c.shed.Load(),
 		Rebinds:       c.rebinds.Load(),
-		MeanBatchSize: c.batchSizes.Mean(),
+		MeanBatchSize: sizes.Mean(),
 		WaitP50NS:     ws.P50NS,
 		WaitP99NS:     ws.P99NS,
-	}
+	}, sizes
 }

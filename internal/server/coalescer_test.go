@@ -108,7 +108,7 @@ func TestCoalescerFormsBatchesUnderConcurrency(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	c := h.coal.stats()
+	c, _ := h.coal.stats()
 	if c.Coalesced != n {
 		t.Errorf("coalesced = %d, want all %d requests batched", c.Coalesced, n)
 	}
@@ -138,8 +138,8 @@ func TestCoalescerBackpressure(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 without Retry-After")
 	}
-	if h.coal.stats().Shed != 1 {
-		t.Errorf("shed counter = %d, want 1", h.coal.stats().Shed)
+	if shed := h.coal.shed.Load(); shed != 1 {
+		t.Errorf("shed counter = %d, want 1", shed)
 	}
 }
 
@@ -263,7 +263,7 @@ func TestCoalescedReadsFewerPagesThanIsolated(t *testing.T) {
 		}
 		var c int64
 		if h.coal != nil {
-			c = h.coal.stats().Coalesced
+			c = h.coal.coalesced.Load()
 		}
 		return s.dev.Stats().Reads, c
 	}

@@ -13,7 +13,9 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"maxembed/internal/embedding"
 	"maxembed/internal/hypergraph"
@@ -509,6 +511,132 @@ func TestMetricsBackendLatencyHistogram(t *testing.T) {
 	if strings.Contains(string(simBody), "maxembed_backend_read_latency_seconds") {
 		t.Error("simulated backend exported a measured-latency histogram")
 	}
+}
+
+// TestMetricsHistogramsUnderLoad scrapes /metrics while concurrent lookups
+// run through the coalescer on the file backend, so both histograms — the
+// coalescer's batch sizes and the backend's measured read latency — move
+// during each scrape. Every scrape must show each series' buckets
+// non-decreasing and its +Inf bucket equal to its _count.
+func TestMetricsHistogramsUnderLoad(t *testing.T) {
+	s := newFileStack(t, 2, nil)
+	srv := s.serve(t, WithCoalescing(4, 100*time.Microsecond))
+	const clients, perClient = 4, 60
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	done := make(chan struct{})
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				code, _, err := tryLookup(srv.URL, s.tr.Queries[(c*perClient+i)%len(s.tr.Queries)])
+				if err == nil && code != http.StatusOK {
+					err = fmt.Errorf("lookup status %d", code)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	scrapes := 0
+	for finished := false; !finished; scrapes++ {
+		select {
+		case <-done:
+			finished = true // one last scrape of the settled counters
+		default:
+		}
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		series, err := checkHistograms(string(body))
+		if err != nil {
+			t.Fatalf("scrape %d: %v", scrapes, err)
+		}
+		if series != 3 {
+			t.Fatalf("scrape %d: %d histogram series, want 2 shards + coalescer", scrapes, series)
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("%d scrapes checked", scrapes)
+}
+
+// checkHistograms checks the histogram invariants of one Prometheus text
+// scrape and returns how many histogram series it holds: within a series
+// the cumulative buckets never decrease, and the +Inf bucket equals the
+// _count.
+func checkHistograms(text string) (int, error) {
+	type series struct {
+		cum    int64
+		inf    int64
+		sawInf bool
+	}
+	all := map[string]*series{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sample, value, _ := strings.Cut(line, " ")
+		name, labels, _ := strings.Cut(strings.TrimSuffix(sample, "}"), "{")
+		switch {
+		case strings.HasSuffix(name, "_bucket"):
+			n, err := strconv.ParseInt(value, 10, 64)
+			if err != nil {
+				return 0, fmt.Errorf("%s: %v", line, err)
+			}
+			var le string
+			var rest []string
+			for _, l := range strings.Split(labels, ",") {
+				if v, ok := strings.CutPrefix(l, "le="); ok {
+					le = v
+				} else {
+					rest = append(rest, l)
+				}
+			}
+			key := strings.TrimSuffix(name, "_bucket") + "{" + strings.Join(rest, ",") + "}"
+			s := all[key]
+			if s == nil {
+				s = &series{}
+				all[key] = s
+			}
+			if n < s.cum {
+				return 0, fmt.Errorf("%s: bucket le=%s holds %d, below the previous bucket's %d", key, le, n, s.cum)
+			}
+			s.cum = n
+			if le == `"+Inf"` {
+				s.inf, s.sawInf = n, true
+			}
+		case strings.HasSuffix(name, "_count"):
+			n, err := strconv.ParseInt(value, 10, 64)
+			if err != nil {
+				return 0, fmt.Errorf("%s: %v", line, err)
+			}
+			key := strings.TrimSuffix(name, "_count") + "{" + labels + "}"
+			s := all[key]
+			if s == nil || !s.sawInf {
+				return 0, fmt.Errorf("%s: _count with no +Inf bucket before it", key)
+			}
+			if n != s.inf {
+				return 0, fmt.Errorf("%s: +Inf bucket %d != _count %d", key, s.inf, n)
+			}
+		}
+	}
+	return len(all), nil
 }
 
 func textAfter(t *testing.T, text, prefix string) string {

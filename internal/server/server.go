@@ -282,14 +282,6 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// healthy reports the rolling read-fault rate and the readiness verdict.
-// On a single-device backend the verdict is the legacy global-window one;
-// with per-shard health it is shard-aware (see nodeHealth).
-func (h *Handler) healthy() (rate float64, events int64, ok bool) {
-	nh := h.nodeHealth()
-	return nh.rate, nh.events, nh.ready
-}
-
 // LookupRequest is the /v1/lookup request body.
 type LookupRequest struct {
 	// Keys to fetch. Duplicates are served once.
@@ -358,14 +350,14 @@ func (h *Handler) writeLease(w http.ResponseWriter, binary bool, status int, l *
 }
 
 func (h *Handler) lookup(w http.ResponseWriter, r *http.Request) {
-	if rate, _, ok := h.healthy(); !ok {
+	if nh := h.nodeHealth(h.curBackend(), nil); !nh.ready {
 		// Shed load, but admit every Nth request as a probe: its
 		// observation refreshes the window, so a recovered device brings
 		// the server back without an operator in the loop.
 		if h.probeSeq.Add(1)%defaultProbeEvery != 0 {
 			w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSec))
 			httpError(w, http.StatusServiceUnavailable,
-				"device unhealthy: read-fault rate %.2f over recent lookups", rate)
+				"device unhealthy: read-fault rate %.2f over recent lookups", nh.rate)
 			return
 		}
 	}
@@ -620,69 +612,29 @@ type CacheStatsEntry struct {
 	PinnedHits    int64 `json:"pinned_hits"`
 }
 
-// shardStats snapshots per-shard device counters and the current engine's
-// per-shard queue-depth peaks.
-func (h *Handler) shardStats(eng *serving.Engine) []ShardStatsEntry {
-	be := h.curBackend()
-	n := be.NumShards()
-	peaks := eng.ShardQueuePeaks()
-	tr, _ := be.(ssd.TierReporter)
-	out := make([]ShardStatsEntry, n)
-	for i := 0; i < n; i++ {
-		sh := be.Shard(i)
-		ds := sh.Stats()
-		out[i] = ShardStatsEntry{
-			Shard:       i,
-			Profile:     sh.Profile().Name,
-			Reads:       ds.Reads,
-			BytesRead:   ds.BytesRead,
-			Errors:      ds.Errors,
-			Timeouts:    ds.Timeouts,
-			Corruptions: ds.Corruptions,
-		}
-		if tr != nil {
-			out[i].Tier = tr.TierOf(i)
-		}
-		if i < len(peaks) {
-			out[i].QueuePeak = peaks[i]
-		}
-	}
-	if hr, ok := be.(ssd.HealthReporter); ok {
-		for i := range out {
-			info := hr.ShardHealth(i)
-			out[i].State = info.State.String()
-			out[i].FaultRate = info.FaultRate
-			out[i].LatentErrors = info.LatentErrors
-		}
-	}
-	return out
-}
-
-// tierStats aggregates shard activity per device tier of a heterogeneous
-// backend, nil when the backend has a single tier. Page occupancy comes
-// from the engine's current layout: page p stripes to shard p mod n.
-func (h *Handler) tierStats(eng *serving.Engine) []TierStatsEntry {
-	be := h.curBackend()
+// tierStats aggregates the shard entries per device tier of a
+// heterogeneous backend, nil when the backend has a single tier. Page
+// occupancy comes from the engine's current layout: page p stripes to
+// shard p mod n.
+func tierStats(be ssd.Backend, eng *serving.Engine, shards []ShardStatsEntry) []TierStatsEntry {
 	tr, ok := be.(ssd.TierReporter)
 	if !ok || tr.NumTiers() < 2 {
 		return nil
 	}
-	n := be.NumShards()
 	out := make([]TierStatsEntry, tr.NumTiers())
 	var totalReads int64
 	for t := range out {
 		info := tr.Tier(t)
 		out[t] = TierStatsEntry{Tier: t, Profile: info.Profile.Name, Shards: info.Shards}
 		for _, s := range info.Shards {
-			ds := be.Shard(s).Stats()
-			out[t].Reads += ds.Reads
-			out[t].BytesRead += ds.BytesRead
+			out[t].Reads += shards[s].Reads
+			out[t].BytesRead += shards[s].BytesRead
 			out[t].RatedBandwidth += be.Shard(s).Profile().Bandwidth
-			totalReads += ds.Reads
+			totalReads += shards[s].Reads
 		}
 	}
 	for p := range eng.Layout().Pages {
-		out[tr.TierOf(p%n)].Pages++
+		out[tr.TierOf(p%len(shards))].Pages++
 	}
 	if totalReads > 0 {
 		for t := range out {
@@ -692,59 +644,110 @@ func (h *Handler) tierStats(eng *serving.Engine) []TierStatsEntry {
 	return out
 }
 
-func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
-	var resp StatsResponse
-	ds := h.curBackend().Stats()
-	resp.Device.Reads = ds.Reads
-	resp.Device.BytesRead = ds.BytesRead
-	resp.Device.Errors = ds.Errors
-	resp.Device.Timeouts = ds.Timeouts
-	resp.Device.Corruptions = ds.Corruptions
-	resp.Shards = h.shardStats(h.handle.Engine())
-	resp.Tiers = h.tierStats(h.handle.Engine())
-	resp.Coact = h.coactStats(h.handle.Engine())
+// statsSnapshot is one reading of every counter /v1/stats and /metrics
+// report: /v1/stats encodes the embedded StatsResponse, and /metrics
+// renders the whole value, including the few counters only it exports.
+type statsSnapshot struct {
+	StatsResponse
+	lookups, scrubUnrepairable int64
+	shardStates                []ssd.ShardState          // nil without per-shard health
+	readLatency                []ssd.ReadLatencySnapshot // nil unless the backend measures it
+	batchSizes                 []int64                   // coalescer dispatches of size 1..maxBatch, then +Inf
+}
+
+// snapshot reads every counter behind /v1/stats and /metrics once, from
+// one engine generation and its backend.
+func (h *Handler) snapshot() *statsSnapshot {
+	eng, gen := h.handle.Load()
+	be := eng.Backend()
+	s := &statsSnapshot{}
+	r := &s.StatsResponse
+
+	peaks := eng.ShardQueuePeaks()
+	tr, _ := be.(ssd.TierReporter)
+	r.Shards = make([]ShardStatsEntry, be.NumShards())
+	for i := range r.Shards {
+		sh := be.Shard(i)
+		ds := sh.Stats()
+		e := &r.Shards[i]
+		*e = ShardStatsEntry{
+			Shard:       i,
+			Profile:     sh.Profile().Name,
+			Reads:       ds.Reads,
+			BytesRead:   ds.BytesRead,
+			Errors:      ds.Errors,
+			Timeouts:    ds.Timeouts,
+			Corruptions: ds.Corruptions,
+		}
+		if tr != nil {
+			e.Tier = tr.TierOf(i)
+		}
+		if i < len(peaks) {
+			e.QueuePeak = peaks[i]
+		}
+		// A backend's Stats is the sum over its shards; summing the
+		// entries keeps the device totals equal to the shards shown.
+		r.Device.Reads += ds.Reads
+		r.Device.BytesRead += ds.BytesRead
+		r.Device.Errors += ds.Errors
+		r.Device.Timeouts += ds.Timeouts
+		r.Device.Corruptions += ds.Corruptions
+	}
+	nh := h.nodeHealth(be, func(i int, info ssd.ShardHealthInfo) {
+		e := &r.Shards[i]
+		e.State, e.FaultRate, e.LatentErrors = info.State.String(), info.FaultRate, info.LatentErrors
+		s.shardStates = append(s.shardStates, info.State)
+	})
+	r.Health.Ready, r.Health.ErrorRate, r.Health.WindowEvents = nh.ready, nh.rate, nh.events
+	r.Health.DeadShards, r.Health.LiveErrorRate = nh.deadShards, nh.liveRate
+	r.Tiers = tierStats(be, eng, r.Shards)
+	r.Coact = h.coactStats(eng)
+	if lr, ok := be.(ssd.ReadLatencyReporter); ok {
+		s.readLatency = make([]ssd.ReadLatencySnapshot, len(r.Shards))
+		for i := range s.readLatency {
+			s.readLatency[i] = lr.ShardReadLatency(i)
+		}
+	}
+
 	// Recovery counters aggregate across engine swaps (retired engines'
 	// totals are folded in) so they stay monotonic for pollers.
 	rec := h.handle.Totals()
-	resp.Recovery.ReadErrors = rec.ReadErrors
-	resp.Recovery.Timeouts = rec.Timeouts
-	resp.Recovery.Corruptions = rec.Corruptions
-	resp.Recovery.Retries = rec.Retries
-	resp.Recovery.ReplicaRescues = rec.ReplicaRescues
-	resp.Recovery.RecoveredKeys = rec.RecoveredKeys
-	resp.Recovery.DegradedQueries = rec.DegradedQueries
-	resp.Recovery.FailedKeys = rec.FailedKeys
-	resp.Recovery.ShardReroutes = rec.ShardReroutes
-	resp.Recovery.StoreFallbacks = rec.StoreFallbacks
-	nh := h.nodeHealth()
-	resp.Health.Ready = nh.ready
-	resp.Health.ErrorRate = nh.rate
-	resp.Health.WindowEvents = nh.events
-	resp.Health.DeadShards = nh.deadShards
-	resp.Health.LiveErrorRate = nh.liveRate
-	resp.Scrub.Enabled = h.scrubber != nil
-	resp.Scrub.Running = h.scrubRunning.Load()
-	resp.Scrub.Sweeps = h.scrubs.Load()
-	resp.Scrub.Errors = h.scrubErrors.Load()
-	resp.Scrub.ProgressPages = h.scrubScanned.Load()
-	resp.Scrub.ProgressTotal = h.scrubTotal.Load()
-	resp.Scrub.LatentSlots = h.scrubLatent.Load()
-	resp.Scrub.RepairedSlots = h.scrubRepaired.Load()
-	resp.Rebuild.Enabled = h.shardAdmin != nil
-	resp.Rebuild.Running = h.rebuildRunning.Load()
-	resp.Rebuild.Rebuilds = h.rebuilds.Load()
-	resp.Rebuild.Errors = h.rebuildErrors.Load()
-	resp.Rebuild.ProgressPages = h.rebuildCopied.Load()
-	resp.Rebuild.ProgressTotal = h.rebuildTotal.Load()
-	resp.Rebuild.LastMTTRNS = h.lastMTTRNS.Load()
+	r.Recovery.ReadErrors = rec.ReadErrors
+	r.Recovery.Timeouts = rec.Timeouts
+	r.Recovery.Corruptions = rec.Corruptions
+	r.Recovery.Retries = rec.Retries
+	r.Recovery.ReplicaRescues = rec.ReplicaRescues
+	r.Recovery.RecoveredKeys = rec.RecoveredKeys
+	r.Recovery.DegradedQueries = rec.DegradedQueries
+	r.Recovery.FailedKeys = rec.FailedKeys
+	r.Recovery.ShardReroutes = rec.ShardReroutes
+	r.Recovery.StoreFallbacks = rec.StoreFallbacks
+	s.lookups = rec.Lookups
+
+	r.Scrub.Enabled = h.scrubber != nil
+	r.Scrub.Running = h.scrubRunning.Load()
+	r.Scrub.Sweeps = h.scrubs.Load()
+	r.Scrub.Errors = h.scrubErrors.Load()
+	r.Scrub.ProgressPages = h.scrubScanned.Load()
+	r.Scrub.ProgressTotal = h.scrubTotal.Load()
+	r.Scrub.LatentSlots = h.scrubLatent.Load()
+	r.Scrub.RepairedSlots = h.scrubRepaired.Load()
+	s.scrubUnrepairable = h.scrubUnrepairable.Load()
+	r.Rebuild.Enabled = h.shardAdmin != nil
+	r.Rebuild.Running = h.rebuildRunning.Load()
+	r.Rebuild.Rebuilds = h.rebuilds.Load()
+	r.Rebuild.Errors = h.rebuildErrors.Load()
+	r.Rebuild.ProgressPages = h.rebuildCopied.Load()
+	r.Rebuild.ProgressTotal = h.rebuildTotal.Load()
+	r.Rebuild.LastMTTRNS = h.lastMTTRNS.Load()
 	h.adminMu.Lock()
-	resp.Scrub.Last = h.lastScrub
-	resp.Rebuild.Last = h.lastRebuild
+	r.Scrub.Last = h.lastScrub
+	r.Rebuild.Last = h.lastRebuild
 	h.adminMu.Unlock()
-	eng := h.handle.Engine()
+
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
-		resp.Cache = &CacheStatsEntry{
+		r.Cache = &CacheStatsEntry{
 			Hits:               cs.Hits,
 			Misses:             cs.Misses,
 			Evictions:          cs.Evictions,
@@ -762,194 +765,159 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if sh := eng.Shadow(); sh != nil {
 		for _, p := range sh.Curve() {
-			resp.Shadow = append(resp.Shadow, ShadowPointEntry{
+			r.Shadow = append(r.Shadow, ShadowPointEntry{
 				Capacity: p.Capacity, Hits: p.Hits, Accesses: p.Accesses, HitRate: p.HitRate,
 			})
 		}
 	}
 	ls := eng.Latency.Snapshot()
-	resp.Latency.Count = ls.Count
-	resp.Latency.MeanNS = ls.MeanNS
-	resp.Latency.P50NS = ls.P50NS
-	resp.Latency.P99NS = ls.P99NS
-	resp.MeanValidPerRead = eng.ValidPerRead.Mean()
-	resp.Refresh.Enabled = h.refreshSrc != nil
-	resp.Refresh.Generation = h.handle.Generation()
-	resp.Refresh.Swaps = h.handle.Swaps()
-	resp.Refresh.Refreshes = h.refreshes.Load()
-	resp.Refresh.Errors = h.refreshErrors.Load()
-	resp.Refresh.LastDurationNS = h.lastRefreshNS.Load()
+	r.Latency.Count = ls.Count
+	r.Latency.MeanNS = ls.MeanNS
+	r.Latency.P50NS = ls.P50NS
+	r.Latency.P99NS = ls.P99NS
+	r.MeanValidPerRead = eng.ValidPerRead.Mean()
+	r.Refresh.Enabled = h.refreshSrc != nil
+	r.Refresh.Generation = gen
+	r.Refresh.Swaps = h.handle.Swaps()
+	r.Refresh.Refreshes = h.refreshes.Load()
+	r.Refresh.Errors = h.refreshErrors.Load()
+	r.Refresh.LastDurationNS = h.lastRefreshNS.Load()
 	if h.refreshSrc != nil {
-		resp.Refresh.PendingQueries = h.refreshSrc.PendingQueries()
+		r.Refresh.PendingQueries = h.refreshSrc.PendingQueries()
 	}
-	resp.Refresh.ValidPerReadBefore = h.handle.ValidPerReadBefore()
-	resp.Refresh.ValidPerReadAfter = eng.ValidPerRead.Mean()
+	r.Refresh.ValidPerReadBefore = h.handle.ValidPerReadBefore()
+	r.Refresh.ValidPerReadAfter = r.MeanValidPerRead
 	if h.coal != nil {
-		resp.Coalescer = h.coal.stats()
+		var sizes metrics.IntHistSnapshot
+		r.Coalescer, sizes = h.coal.stats()
+		// Sizes start at 1: no dispatch is empty.
+		s.batchSizes = append(sizes.Counts[1:], sizes.Overflow)
 	}
-	writeJSON(w, resp)
+	return s
 }
 
-// metrics renders the same counters in Prometheus text exposition format
-// for scrape-based monitoring.
+func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, h.snapshot().StatsResponse)
+}
+
+// metrics renders the same snapshot /v1/stats serves in Prometheus text
+// exposition format for scrape-based monitoring.
 func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	be := h.curBackend()
-	ds := be.Stats()
-	fmt.Fprintf(w, "# TYPE maxembed_device_reads_total counter\nmaxembed_device_reads_total %d\n", ds.Reads)
-	fmt.Fprintf(w, "# TYPE maxembed_device_bytes_read_total counter\nmaxembed_device_bytes_read_total %d\n", ds.BytesRead)
-	fmt.Fprintf(w, "# TYPE maxembed_device_errors_total counter\nmaxembed_device_errors_total %d\n", ds.Errors)
-	fmt.Fprintf(w, "# TYPE maxembed_device_timeouts_total counter\nmaxembed_device_timeouts_total %d\n", ds.Timeouts)
-	fmt.Fprintf(w, "# TYPE maxembed_device_corruptions_total counter\nmaxembed_device_corruptions_total %d\n", ds.Corruptions)
-	shards := h.shardStats(h.handle.Engine())
-	fmt.Fprintf(w, "# TYPE maxembed_shard_reads_total counter\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "maxembed_shard_reads_total{shard=\"%d\"} %d\n", s.Shard, s.Reads)
+	s := h.snapshot()
+	r := &s.StatsResponse
+	var p promText
+	p.scalar("maxembed_device_reads_total", "counter", r.Device.Reads)
+	p.scalar("maxembed_device_bytes_read_total", "counter", r.Device.BytesRead)
+	p.scalar("maxembed_device_errors_total", "counter", r.Device.Errors)
+	p.scalar("maxembed_device_timeouts_total", "counter", r.Device.Timeouts)
+	p.scalar("maxembed_device_corruptions_total", "counter", r.Device.Corruptions)
+	n := len(r.Shards)
+	shard := func(i int) string { return fmt.Sprintf(`shard="%d"`, i) }
+	p.perLabel("maxembed_shard_reads_total", "counter", n, shard, func(i int) any { return r.Shards[i].Reads })
+	p.perLabel("maxembed_shard_errors_total", "counter", n, shard, func(i int) any { return r.Shards[i].Errors })
+	p.perLabel("maxembed_shard_timeouts_total", "counter", n, shard, func(i int) any { return r.Shards[i].Timeouts })
+	p.perLabel("maxembed_shard_corruptions_total", "counter", n, shard, func(i int) any { return r.Shards[i].Corruptions })
+	p.perLabel("maxembed_shard_queue_peak", "gauge", n, shard, func(i int) any { return r.Shards[i].QueuePeak })
+	if t := r.Tiers; t != nil {
+		tier := func(i int) string { return fmt.Sprintf(`tier="%d",profile=%q`, t[i].Tier, t[i].Profile) }
+		p.perLabel("maxembed_tier_reads_total", "counter", len(t), tier, func(i int) any { return t[i].Reads })
+		p.perLabel("maxembed_tier_bytes_read_total", "counter", len(t), tier, func(i int) any { return t[i].BytesRead })
+		p.perLabel("maxembed_tier_pages", "gauge", len(t), tier, func(i int) any { return t[i].Pages })
+		p.perLabel("maxembed_tier_read_share", "gauge", len(t), tier, func(i int) any { return t[i].ReadShare })
 	}
-	fmt.Fprintf(w, "# TYPE maxembed_shard_errors_total counter\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "maxembed_shard_errors_total{shard=\"%d\"} %d\n", s.Shard, s.Errors)
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_shard_timeouts_total counter\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "maxembed_shard_timeouts_total{shard=\"%d\"} %d\n", s.Shard, s.Timeouts)
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_shard_corruptions_total counter\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "maxembed_shard_corruptions_total{shard=\"%d\"} %d\n", s.Shard, s.Corruptions)
-	}
-	fmt.Fprintf(w, "# TYPE maxembed_shard_queue_peak gauge\n")
-	for _, s := range shards {
-		fmt.Fprintf(w, "maxembed_shard_queue_peak{shard=\"%d\"} %d\n", s.Shard, s.QueuePeak)
-	}
-	if tiers := h.tierStats(h.handle.Engine()); tiers != nil {
-		fmt.Fprintf(w, "# TYPE maxembed_tier_reads_total counter\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "maxembed_tier_reads_total{tier=\"%d\",profile=%q} %d\n", t.Tier, t.Profile, t.Reads)
-		}
-		fmt.Fprintf(w, "# TYPE maxembed_tier_bytes_read_total counter\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "maxembed_tier_bytes_read_total{tier=\"%d\",profile=%q} %d\n", t.Tier, t.Profile, t.BytesRead)
-		}
-		fmt.Fprintf(w, "# TYPE maxembed_tier_pages gauge\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "maxembed_tier_pages{tier=\"%d\",profile=%q} %d\n", t.Tier, t.Profile, t.Pages)
-		}
-		fmt.Fprintf(w, "# TYPE maxembed_tier_read_share gauge\n")
-		for _, t := range tiers {
-			fmt.Fprintf(w, "maxembed_tier_read_share{tier=\"%d\",profile=%q} %g\n", t.Tier, t.Profile, t.ReadShare)
+	if c := r.Coact; c != nil {
+		p.scalar("maxembed_coact_mean_max_shard_depth", "gauge", c.MeanMaxShardDepth)
+		p.scalar("maxembed_coact_depth_queries", "gauge", c.Queries)
+		if pl := c.Placement; pl != nil {
+			p.scalar("maxembed_coact_moved_pages", "gauge", pl.MovedPages)
+			p.scalar("maxembed_coact_edges_scored", "gauge", pl.EdgesScored)
+			p.scalar("maxembed_coact_mean_depth_before", "gauge", pl.MeanDepthBefore)
+			p.scalar("maxembed_coact_mean_depth_after", "gauge", pl.MeanDepthAfter)
+			p.scalar("maxembed_coact_replica_collisions", "gauge", pl.ReplicaCollisionsAfter)
+			p.scalar("maxembed_coact_uncovered_keys", "gauge", pl.UncoveredKeysAfter)
 		}
 	}
-	h.coactMetrics(w, h.handle.Engine())
-	if lr, ok := be.(ssd.ReadLatencyReporter); ok {
-		// Measured (wall-clock) per-shard read latency of a real-I/O
-		// backend, in Prometheus cumulative-histogram form.
-		fmt.Fprintf(w, "# TYPE maxembed_backend_read_latency_seconds histogram\n")
-		for s := 0; s < be.NumShards(); s++ {
-			snap := lr.ShardReadLatency(s)
-			var cum int64
-			for i, c := range snap.Counts {
-				cum += c
-				if i < len(snap.UpperNS) {
-					fmt.Fprintf(w, "maxembed_backend_read_latency_seconds_bucket{shard=\"%d\",le=\"%g\"} %d\n",
-						s, float64(snap.UpperNS[i])/1e9, cum)
-				} else {
-					fmt.Fprintf(w, "maxembed_backend_read_latency_seconds_bucket{shard=\"%d\",le=\"+Inf\"} %d\n", s, cum)
-				}
-			}
-			fmt.Fprintf(w, "maxembed_backend_read_latency_seconds_sum{shard=\"%d\"} %g\n", s, float64(snap.SumNS)/1e9)
-			fmt.Fprintf(w, "maxembed_backend_read_latency_seconds_count{shard=\"%d\"} %d\n", s, snap.Count)
+	if s.readLatency != nil {
+		// Measured (wall-clock) per-shard read latency of a real-I/O backend.
+		const name = "maxembed_backend_read_latency_seconds"
+		p.family(name, "histogram")
+		for i, l := range s.readLatency {
+			p.histogram(name, shard(i), l.Counts,
+				func(b int) string { return fmt.Sprintf("%g", float64(l.UpperNS[b])/1e9) },
+				float64(l.SumNS)/1e9)
 		}
 	}
-	if hr, ok := be.(ssd.HealthReporter); ok {
-		n := be.NumShards()
+	if s.shardStates != nil {
 		// Shard state machine position: 0 healthy, 1 suspect, 2 failed,
 		// 3 rebuilding.
-		fmt.Fprintf(w, "# TYPE maxembed_shard_state gauge\n")
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(w, "maxembed_shard_state{shard=\"%d\"} %d\n", i, int(hr.ShardState(i)))
-		}
-		fmt.Fprintf(w, "# TYPE maxembed_shard_fault_rate gauge\n")
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(w, "maxembed_shard_fault_rate{shard=\"%d\"} %g\n", i, hr.ShardHealth(i).FaultRate)
-		}
-		fmt.Fprintf(w, "# TYPE maxembed_shard_latent_errors_total counter\n")
-		for i := 0; i < n; i++ {
-			fmt.Fprintf(w, "maxembed_shard_latent_errors_total{shard=\"%d\"} %d\n", i, hr.ShardHealth(i).LatentErrors)
-		}
+		p.perLabel("maxembed_shard_state", "gauge", n, shard, func(i int) any { return int(s.shardStates[i]) })
+		p.perLabel("maxembed_shard_fault_rate", "gauge", n, shard, func(i int) any { return r.Shards[i].FaultRate })
+		p.perLabel("maxembed_shard_latent_errors_total", "counter", n, shard, func(i int) any { return r.Shards[i].LatentErrors })
 	}
-	rec := h.handle.Totals()
-	fmt.Fprintf(w, "# TYPE maxembed_read_errors_total counter\nmaxembed_read_errors_total %d\n", rec.ReadErrors)
-	fmt.Fprintf(w, "# TYPE maxembed_corruptions_detected_total counter\nmaxembed_corruptions_detected_total %d\n", rec.Corruptions)
-	fmt.Fprintf(w, "# TYPE maxembed_read_retries_total counter\nmaxembed_read_retries_total %d\n", rec.Retries)
-	fmt.Fprintf(w, "# TYPE maxembed_replica_rescues_total counter\nmaxembed_replica_rescues_total %d\n", rec.ReplicaRescues)
-	fmt.Fprintf(w, "# TYPE maxembed_recovered_keys_total counter\nmaxembed_recovered_keys_total %d\n", rec.RecoveredKeys)
-	fmt.Fprintf(w, "# TYPE maxembed_degraded_queries_total counter\nmaxembed_degraded_queries_total %d\n", rec.DegradedQueries)
-	fmt.Fprintf(w, "# TYPE maxembed_failed_keys_total counter\nmaxembed_failed_keys_total %d\n", rec.FailedKeys)
-	fmt.Fprintf(w, "# TYPE maxembed_shard_reroutes_total counter\nmaxembed_shard_reroutes_total %d\n", rec.ShardReroutes)
-	fmt.Fprintf(w, "# TYPE maxembed_store_fallbacks_total counter\nmaxembed_store_fallbacks_total %d\n", rec.StoreFallbacks)
-	nh := h.nodeHealth()
-	fmt.Fprintf(w, "# TYPE maxembed_read_error_rate gauge\nmaxembed_read_error_rate %g\n", nh.rate)
-	fmt.Fprintf(w, "# TYPE maxembed_ready gauge\nmaxembed_ready %d\n", b2i(nh.ready))
-	if nh.shards != nil {
-		fmt.Fprintf(w, "# TYPE maxembed_dead_shards gauge\nmaxembed_dead_shards %d\n", nh.deadShards)
-		fmt.Fprintf(w, "# TYPE maxembed_live_error_rate gauge\nmaxembed_live_error_rate %g\n", nh.liveRate)
+	rec := &r.Recovery
+	p.scalar("maxembed_read_errors_total", "counter", rec.ReadErrors)
+	p.scalar("maxembed_corruptions_detected_total", "counter", rec.Corruptions)
+	p.scalar("maxembed_read_retries_total", "counter", rec.Retries)
+	p.scalar("maxembed_replica_rescues_total", "counter", rec.ReplicaRescues)
+	p.scalar("maxembed_recovered_keys_total", "counter", rec.RecoveredKeys)
+	p.scalar("maxembed_degraded_queries_total", "counter", rec.DegradedQueries)
+	p.scalar("maxembed_failed_keys_total", "counter", rec.FailedKeys)
+	p.scalar("maxembed_shard_reroutes_total", "counter", rec.ShardReroutes)
+	p.scalar("maxembed_store_fallbacks_total", "counter", rec.StoreFallbacks)
+	p.scalar("maxembed_read_error_rate", "gauge", r.Health.ErrorRate)
+	p.scalar("maxembed_ready", "gauge", b2i(r.Health.Ready))
+	if s.shardStates != nil {
+		p.scalar("maxembed_dead_shards", "gauge", r.Health.DeadShards)
+		p.scalar("maxembed_live_error_rate", "gauge", r.Health.LiveErrorRate)
 	}
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_sweeps_total counter\nmaxembed_scrub_sweeps_total %d\n", h.scrubs.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_errors_total counter\nmaxembed_scrub_errors_total %d\n", h.scrubErrors.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_running gauge\nmaxembed_scrub_running %d\n", b2i(h.scrubRunning.Load()))
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_pages_scanned gauge\nmaxembed_scrub_pages_scanned %d\n", h.scrubScanned.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_latent_slots_total counter\nmaxembed_scrub_latent_slots_total %d\n", h.scrubLatent.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_repaired_slots_total counter\nmaxembed_scrub_repaired_slots_total %d\n", h.scrubRepaired.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_scrub_unrepairable_slots_total counter\nmaxembed_scrub_unrepairable_slots_total %d\n", h.scrubUnrepairable.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_rebuild_total counter\nmaxembed_rebuild_total %d\n", h.rebuilds.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_rebuild_errors_total counter\nmaxembed_rebuild_errors_total %d\n", h.rebuildErrors.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_rebuild_running gauge\nmaxembed_rebuild_running %d\n", b2i(h.rebuildRunning.Load()))
-	fmt.Fprintf(w, "# TYPE maxembed_rebuild_pages_copied gauge\nmaxembed_rebuild_pages_copied %d\n", h.rebuildCopied.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_rebuild_last_mttr_ns gauge\nmaxembed_rebuild_last_mttr_ns %d\n", h.lastMTTRNS.Load())
-	eng := h.handle.Engine()
-	if c := eng.Cache(); c != nil {
-		cs := c.Stats()
-		fmt.Fprintf(w, "# TYPE maxembed_cache_hits_total counter\nmaxembed_cache_hits_total %d\n", cs.Hits)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_misses_total counter\nmaxembed_cache_misses_total %d\n", cs.Misses)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_entries gauge\nmaxembed_cache_entries %d\n", c.Len())
-		fmt.Fprintf(w, "# TYPE maxembed_cache_probation_entries gauge\nmaxembed_cache_probation_entries %d\n", cs.ProbationLen)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_protected_entries gauge\nmaxembed_cache_protected_entries %d\n", cs.ProtectedLen)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_probation_evictions_total counter\nmaxembed_cache_probation_evictions_total %d\n", cs.ProbationEvictions)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_protected_evictions_total counter\nmaxembed_cache_protected_evictions_total %d\n", cs.ProtectedEvictions)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_promotions_total counter\nmaxembed_cache_promotions_total %d\n", cs.Promotions)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_demotions_total counter\nmaxembed_cache_demotions_total %d\n", cs.Demotions)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_pinned_entries gauge\nmaxembed_cache_pinned_entries %d\n", cs.PinnedEntries)
-		fmt.Fprintf(w, "# TYPE maxembed_cache_pinned_hits_total counter\nmaxembed_cache_pinned_hits_total %d\n", cs.PinnedHits)
+	p.scalar("maxembed_scrub_sweeps_total", "counter", r.Scrub.Sweeps)
+	p.scalar("maxembed_scrub_errors_total", "counter", r.Scrub.Errors)
+	p.scalar("maxembed_scrub_running", "gauge", b2i(r.Scrub.Running))
+	p.scalar("maxembed_scrub_pages_scanned", "gauge", r.Scrub.ProgressPages)
+	p.scalar("maxembed_scrub_latent_slots_total", "counter", r.Scrub.LatentSlots)
+	p.scalar("maxembed_scrub_repaired_slots_total", "counter", r.Scrub.RepairedSlots)
+	p.scalar("maxembed_scrub_unrepairable_slots_total", "counter", s.scrubUnrepairable)
+	p.scalar("maxembed_rebuild_total", "counter", r.Rebuild.Rebuilds)
+	p.scalar("maxembed_rebuild_errors_total", "counter", r.Rebuild.Errors)
+	p.scalar("maxembed_rebuild_running", "gauge", b2i(r.Rebuild.Running))
+	p.scalar("maxembed_rebuild_pages_copied", "gauge", r.Rebuild.ProgressPages)
+	p.scalar("maxembed_rebuild_last_mttr_ns", "gauge", r.Rebuild.LastMTTRNS)
+	if c := r.Cache; c != nil {
+		p.scalar("maxembed_cache_hits_total", "counter", c.Hits)
+		p.scalar("maxembed_cache_misses_total", "counter", c.Misses)
+		p.scalar("maxembed_cache_entries", "gauge", c.Entries)
+		p.scalar("maxembed_cache_probation_entries", "gauge", c.ProbationEntries)
+		p.scalar("maxembed_cache_protected_entries", "gauge", c.ProtectedEntries)
+		p.scalar("maxembed_cache_probation_evictions_total", "counter", c.ProbationEvictions)
+		p.scalar("maxembed_cache_protected_evictions_total", "counter", c.ProtectedEvictions)
+		p.scalar("maxembed_cache_promotions_total", "counter", c.Promotions)
+		p.scalar("maxembed_cache_demotions_total", "counter", c.Demotions)
+		p.scalar("maxembed_cache_pinned_entries", "gauge", c.PinnedEntries)
+		p.scalar("maxembed_cache_pinned_hits_total", "counter", c.PinnedHits)
 	}
-	ls := eng.Latency.Snapshot()
-	fmt.Fprintf(w, "# TYPE maxembed_lookups_total counter\nmaxembed_lookups_total %d\n", rec.Lookups)
-	fmt.Fprintf(w, "# TYPE maxembed_lookup_latency_p99_ns gauge\nmaxembed_lookup_latency_p99_ns %d\n", ls.P99NS)
-	fmt.Fprintf(w, "# TYPE maxembed_valid_per_read gauge\nmaxembed_valid_per_read %g\n", eng.ValidPerRead.Mean())
-	fmt.Fprintf(w, "# TYPE maxembed_layout_generation gauge\nmaxembed_layout_generation %d\n", h.handle.Generation())
-	fmt.Fprintf(w, "# TYPE maxembed_engine_swaps_total counter\nmaxembed_engine_swaps_total %d\n", h.handle.Swaps())
-	fmt.Fprintf(w, "# TYPE maxembed_refresh_total counter\nmaxembed_refresh_total %d\n", h.refreshes.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_refresh_errors_total counter\nmaxembed_refresh_errors_total %d\n", h.refreshErrors.Load())
-	fmt.Fprintf(w, "# TYPE maxembed_refresh_duration_seconds gauge\nmaxembed_refresh_duration_seconds %g\n", float64(h.lastRefreshNS.Load())/1e9)
-	fmt.Fprintf(w, "# TYPE maxembed_valid_per_read_before_swap gauge\nmaxembed_valid_per_read_before_swap %g\n", h.handle.ValidPerReadBefore())
-	if h.coal != nil {
-		cs := h.coal.stats()
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_batches_total counter\nmaxembed_coalesce_batches_total %d\n", cs.Batches)
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_bypass_total counter\nmaxembed_coalesce_bypass_total %d\n", cs.Bypasses)
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_requests_total counter\nmaxembed_coalesce_requests_total %d\n", cs.Coalesced)
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_shed_total counter\nmaxembed_coalesce_shed_total %d\n", cs.Shed)
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_batch_size_mean gauge\nmaxembed_coalesce_batch_size_mean %g\n", cs.MeanBatchSize)
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_wait_p99_ns gauge\nmaxembed_coalesce_wait_p99_ns %d\n", cs.WaitP99NS)
-		// Cumulative batch-size histogram in exposition format.
-		fmt.Fprintf(w, "# TYPE maxembed_coalesce_batch_size histogram\n")
-		var cum int64
-		for sz := 1; sz <= h.coal.maxBatch; sz++ {
-			cum += h.coal.batchSizes.Bucket(sz)
-			fmt.Fprintf(w, "maxembed_coalesce_batch_size_bucket{le=%q} %d\n", fmt.Sprint(sz), cum)
-		}
-		fmt.Fprintf(w, "maxembed_coalesce_batch_size_bucket{le=\"+Inf\"} %d\n", cs.Batches)
-		fmt.Fprintf(w, "maxembed_coalesce_batch_size_count %d\n", cs.Batches)
+	p.scalar("maxembed_lookups_total", "counter", s.lookups)
+	p.scalar("maxembed_lookup_latency_p99_ns", "gauge", r.Latency.P99NS)
+	p.scalar("maxembed_valid_per_read", "gauge", r.MeanValidPerRead)
+	p.scalar("maxembed_layout_generation", "gauge", r.Refresh.Generation)
+	p.scalar("maxembed_engine_swaps_total", "counter", r.Refresh.Swaps)
+	p.scalar("maxembed_refresh_total", "counter", r.Refresh.Refreshes)
+	p.scalar("maxembed_refresh_errors_total", "counter", r.Refresh.Errors)
+	p.scalar("maxembed_refresh_duration_seconds", "gauge", float64(r.Refresh.LastDurationNS)/1e9)
+	p.scalar("maxembed_valid_per_read_before_swap", "gauge", r.Refresh.ValidPerReadBefore)
+	if s.batchSizes != nil {
+		c := &r.Coalescer
+		p.scalar("maxembed_coalesce_batches_total", "counter", c.Batches)
+		p.scalar("maxembed_coalesce_bypass_total", "counter", c.Bypasses)
+		p.scalar("maxembed_coalesce_requests_total", "counter", c.Coalesced)
+		p.scalar("maxembed_coalesce_shed_total", "counter", c.Shed)
+		p.scalar("maxembed_coalesce_batch_size_mean", "gauge", c.MeanBatchSize)
+		p.scalar("maxembed_coalesce_wait_p99_ns", "gauge", c.WaitP99NS)
+		const name = "maxembed_coalesce_batch_size"
+		p.family(name, "histogram")
+		p.histogram(name, "", s.batchSizes, func(b int) string { return strconv.Itoa(b + 1) }, nil)
 	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Write(p.b)
 }
 
 // health is a real readiness probe: it reports 503 while the node is
@@ -959,35 +927,30 @@ func (h *Handler) metrics(w http.ResponseWriter, _ *http.Request) {
 // and the body carries per-shard fault fractions beside the global
 // window so an operator can tell a sick drive from a sick node.
 func (h *Handler) health(w http.ResponseWriter, _ *http.Request) {
-	nh := h.nodeHealth()
+	var infos []ssd.ShardHealthInfo
+	nh := h.nodeHealth(h.curBackend(), func(_ int, info ssd.ShardHealthInfo) {
+		infos = append(infos, info)
+	})
+	if nh.ready && !nh.perShard {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, "ok")
+		return
+	}
+	status, body := http.StatusOK, map[string]any{
+		"status":        "ok",
+		"error_rate":    nh.rate,
+		"window_events": nh.events,
+	}
 	if !nh.ready {
 		w.Header().Set("Retry-After", fmt.Sprint(h.retryAfterSec))
-		body := map[string]any{
-			"status":        "unhealthy",
-			"error_rate":    nh.rate,
-			"window_events": nh.events,
-		}
-		if nh.shards != nil {
-			body["shards"] = shardHealthEntries(nh.shards)
-			body["dead_shards"] = nh.deadShards
-			body["live_error_rate"] = nh.liveRate
-		}
-		writeJSONStatus(w, http.StatusServiceUnavailable, body)
-		return
+		status, body["status"] = http.StatusServiceUnavailable, "unhealthy"
 	}
-	if nh.shards != nil {
-		writeJSON(w, map[string]any{
-			"status":          "ok",
-			"error_rate":      nh.rate,
-			"window_events":   nh.events,
-			"shards":          shardHealthEntries(nh.shards),
-			"dead_shards":     nh.deadShards,
-			"live_error_rate": nh.liveRate,
-		})
-		return
+	if nh.perShard {
+		body["shards"] = shardHealthEntries(infos)
+		body["dead_shards"] = nh.deadShards
+		body["live_error_rate"] = nh.liveRate
 	}
-	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, "ok")
+	writeJSONStatus(w, status, body)
 }
 
 func b2i(b bool) int {
@@ -1014,4 +977,50 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// promText accumulates a Prometheus text-format (0.0.4) exposition.
+// Sample values print with %v: integers as %d, floats as %g.
+type promText struct{ b []byte }
+
+func (p *promText) family(name, kind string) {
+	p.b = fmt.Appendf(p.b, "# TYPE %s %s\n", name, kind)
+}
+
+// scalar writes a family with one unlabelled sample.
+func (p *promText) scalar(name, kind string, v any) {
+	p.b = fmt.Appendf(p.b, "# TYPE %s %s\n%s %v\n", name, kind, name, v)
+}
+
+// perLabel writes a family with samples v(i) labelled label(i), i < n.
+func (p *promText) perLabel(name, kind string, n int, label func(int) string, v func(int) any) {
+	p.family(name, kind)
+	for i := 0; i < n; i++ {
+		p.b = fmt.Appendf(p.b, "%s{%s} %v\n", name, label(i), v(i))
+	}
+}
+
+// histogram writes one series of a histogram family: cumulative buckets
+// bounded by le(i) for every counts[i] but the last, the unbounded one;
+// the _sum unless sum is nil; and the _count. The +Inf bucket and the
+// _count are both the sum of counts, so they agree with the buckets even
+// when the source's own total was read at another instant.
+func (p *promText) histogram(name, labels string, counts []int64, le func(int) string, sum any) {
+	series := ""
+	if labels != "" {
+		series, labels = "{"+labels+"}", labels+","
+	}
+	var cum int64
+	for i, c := range counts {
+		cum += c
+		bound := "+Inf"
+		if i < len(counts)-1 {
+			bound = le(i)
+		}
+		p.b = fmt.Appendf(p.b, "%s_bucket{%sle=%q} %d\n", name, labels, bound, cum)
+	}
+	if sum != nil {
+		p.b = fmt.Appendf(p.b, "%s_sum%s %v\n", name, series, sum)
+	}
+	p.b = fmt.Appendf(p.b, "%s_count%s %d\n", name, series, cum)
 }

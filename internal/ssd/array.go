@@ -61,10 +61,9 @@ func (d *Device) Shard(i int) *Device {
 // Array is a striped multi-device backend: n independent Devices with page
 // i living on device i mod n at local address i div n — RAID-0 at page
 // granularity, the arrangement the paper's multi-drive evaluation uses
-// (§7). Unlike the RAID0 profile helper (which folds n drives into one
-// virtual device), every member device keeps its own channels, transfer
-// bus, queue depths, and fault state, so cross-device parallelism, skewed
-// per-shard load, and single-shard faults are modelled faithfully.
+// (§7). Every member device keeps its own channels, transfer bus, queue
+// depths, and fault state, so cross-device parallelism, skewed per-shard
+// load, and single-shard faults are modelled faithfully.
 //
 // The striping uses the LOCAL page for channel mapping (each Device hashes
 // its local page onto its channels): mapping the global page would alias

@@ -120,30 +120,6 @@ var (
 	}
 )
 
-// RAID0 returns a profile modelling n drives striped at page granularity:
-// aggregate bandwidth and channel count scale with n while per-read latency
-// is unchanged.
-//
-// This is a COARSE approximation: it folds the n drives into one virtual
-// device with a single transfer bus, a single merged command queue of
-// depth n×QueueDepth, and one shared channel pool. Cross-device queue
-// contention, skewed per-drive load (reads concentrated on one stripe
-// residue still enjoy the full aggregate bandwidth here, which no real
-// array delivers), and single-drive faults are therefore mismodelled —
-// see TestRAID0DivergesFromArrayOnSkew. Use Array for a faithful
-// multi-device model with independent per-shard queues; the experiments
-// that reproduce the paper's RAID-0 results run on Array.
-func RAID0(base Profile, n int) Profile {
-	if n < 1 {
-		n = 1
-	}
-	base.Name = fmt.Sprintf("RAID0-%dx%s", n, base.Name)
-	base.Bandwidth *= float64(n)
-	base.Channels *= n
-	base.QueueDepth *= n
-	return base
-}
-
 // Stats aggregates device activity since construction or the last Reset.
 type Stats struct {
 	// Reads is the number of page reads completed.

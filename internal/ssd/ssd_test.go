@@ -218,24 +218,8 @@ func TestConcurrentReads(t *testing.T) {
 	}
 }
 
-func TestRAID0(t *testing.T) {
-	r := RAID0(P5800X, 2)
-	if r.Bandwidth != 2*P5800X.Bandwidth {
-		t.Errorf("RAID0 bandwidth = %v, want doubled", r.Bandwidth)
-	}
-	if r.Channels != 2*P5800X.Channels {
-		t.Errorf("RAID0 channels = %v, want doubled", r.Channels)
-	}
-	if r.ReadLatency != P5800X.ReadLatency {
-		t.Errorf("RAID0 latency changed: %v", r.ReadLatency)
-	}
-	if RAID0(P5800X, 0).Bandwidth != P5800X.Bandwidth {
-		t.Error("RAID0 with n<1 should clamp to 1")
-	}
-}
-
 func TestBuiltinProfiles(t *testing.T) {
-	for _, p := range []Profile{P5800X, P4510, RAID0(P5800X, 2)} {
+	for _, p := range []Profile{P5800X, P4510} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("profile %s invalid: %v", p.Name, err)
 		}

@@ -67,7 +67,7 @@ func TestOpenDefaultsAndOptions(t *testing.T) {
 		{WithoutPipeline()},
 		{WithGreedySelection()},
 		{WithDevice(DeviceP4510)},
-		{WithDevice(DeviceRAID0(DeviceP5800X, 2))},
+		{WithDevices(2)},
 		{TimingOnly()},
 	} {
 		db, err := Open(tr.NumItems, tr.Queries[:500], opts...)
