@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race race-shard race-rebuild race-tier race-coact race-file alloc-guard ftoa-exhaustive vet vet-tool lint staticcheck perfbench-check bench verify experiments
+.PHONY: build test race race-shard race-rebuild race-tier race-coact race-place race-file alloc-guard ftoa-exhaustive vet vet-tool lint staticcheck perfbench-check bench verify experiments
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,15 @@ race-coact:
 	$(GO) test -race -count=3 -run 'Despread|Spread|TopForSet|MaxShardDepth|LookupBatch' ./internal/placement ./internal/hypergraph ./internal/serving
 	$(GO) test -race -count=3 -run 'TestCoActivationPlacementOption|TestRefreshDuringFastShardRebuild' .
 
+# The offline phase's concurrency under the race detector: SHP's sibling
+# subproblems and gain-pass fan-out sharing one goroutine budget (layouts
+# identical at Parallelism 1, 2 and 8), the dense co-occurrence ranking
+# against its map-and-sort reference, and isolated lookups from many
+# workers sharing one small cache (every key served or failed once).
+race-place:
+	$(GO) test -race -count=3 -run 'TestParallelMatchesSerial|TestTopMatchesReference' ./internal/shp ./internal/hypergraph
+	$(GO) test -race -count=3 -run 'TestConcurrentWorkersServeEveryKeyOnce' ./internal/serving
+
 # The real-I/O seams under the race detector: the leased io_uring rings
 # (32 concurrent queue pairs, full-ring pumps, short reads, Close), the
 # pread pool and freelist paths, io_uring-vs-pread differential serving,
@@ -106,7 +115,7 @@ bench:
 # The full pre-merge gate: static checks (including the repo's own
 # analyzer suite), build, the test suite under the race detector (the
 # serving engine and HTTP layer are concurrent), and the benchmark module.
-verify: vet lint staticcheck build race race-shard race-rebuild race-tier race-coact race-file alloc-guard perfbench-check
+verify: vet lint staticcheck build race race-shard race-rebuild race-tier race-coact race-place race-file alloc-guard perfbench-check
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -238,6 +239,90 @@ func TestCoOccurrenceProperty(t *testing.T) {
 				t.Fatalf("Top not sorted by count: %v", got)
 			}
 			prev = counts[v]
+		}
+	}
+}
+
+// referenceTop is the map-and-sort ranking Top and TopForSet replaced:
+// count co-occurrences of bases' edge co-members outside skip, drop
+// excluded vertices, order by count descending then id ascending.
+func referenceTop(g *Graph, bases []Vertex, skip map[Vertex]bool, n int, exclude func(Vertex) bool) []Vertex {
+	if n <= 0 {
+		return nil
+	}
+	counts := map[Vertex]int{}
+	for _, base := range bases {
+		for _, e := range g.IncidentEdges(base) {
+			for _, v := range g.Edge(e) {
+				if !skip[v] {
+					counts[v]++
+				}
+			}
+		}
+	}
+	cands := []Vertex{}
+	for v := range counts {
+		if exclude == nil || !exclude(v) {
+			cands = append(cands, v)
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if counts[cands[i]] != counts[cands[j]] {
+			return counts[cands[i]] > counts[cands[j]]
+		}
+		return cands[i] < cands[j]
+	})
+	if len(cands) > n {
+		cands = cands[:n]
+	}
+	return cands
+}
+
+// TestTopMatchesReference checks the dense counter and heap ranking
+// against the reference on random graphs, with and without exclude, for
+// single bases and for sets (duplicates included), reusing one counter
+// across calls so leaked scratch state would show.
+func TestTopMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 200; iter++ {
+		nv := 2 + rng.Intn(60)
+		queries := make([][]Vertex, 1+rng.Intn(80))
+		for i := range queries {
+			q := make([]Vertex, 1+rng.Intn(10))
+			for j := range q {
+				q[j] = Vertex(rng.Intn(nv))
+			}
+			queries[i] = q
+		}
+		g := mustGraph(t, nv, queries)
+		c := NewCoOccurrence(g)
+		banned := map[Vertex]bool{}
+		for v := 0; v < nv; v++ {
+			if rng.Intn(3) == 0 {
+				banned[Vertex(v)] = true
+			}
+		}
+		for _, exclude := range []func(Vertex) bool{nil, func(v Vertex) bool { return banned[v] }} {
+			for call := 0; call < 4; call++ {
+				n := rng.Intn(nv + 2)
+				base := Vertex(rng.Intn(nv))
+				got := c.Top(base, n, exclude)
+				want := referenceTop(g, []Vertex{base}, map[Vertex]bool{base: true}, n, exclude)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d: Top(%d, %d) = %v, want %v", iter, base, n, got, want)
+				}
+				set := make([]Vertex, 1+rng.Intn(5))
+				inSet := map[Vertex]bool{}
+				for i := range set {
+					set[i] = Vertex(rng.Intn(nv))
+					inSet[set[i]] = true
+				}
+				got = c.TopForSet(set, n, exclude)
+				want = referenceTop(g, set, inSet, n, exclude)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("iter %d: TopForSet(%v, %d) = %v, want %v", iter, set, n, got, want)
+				}
+			}
 		}
 	}
 }

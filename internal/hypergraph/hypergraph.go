@@ -10,6 +10,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -171,57 +172,38 @@ func (g *Graph) MeanEdgeSize() float64 {
 	return float64(g.NumPins()) / float64(g.NumEdges())
 }
 
-// Connectivity returns λ(e): the number of distinct values that assign
-// takes over e's members. assign maps a vertex to its bucket. When edges
-// model queries and buckets model SSD pages, λ(e) is exactly the number of
-// page reads query e costs under single-copy placement.
-func (g *Graph) Connectivity(e EdgeID, assign []int32) int {
-	members := g.Edge(e)
-	switch len(members) {
-	case 0:
-		return 0
-	case 1:
-		return 1
+// Connectivities returns λ(e) for every edge e: the number of distinct
+// values that assign takes over e's members. assign maps a vertex to its
+// bucket. When edges model queries and buckets model SSD pages, λ(e) is
+// exactly the number of page reads query e costs under single-copy
+// placement. One pass over the pins marks each bucket with the last edge
+// that counted it, so long edges cost no more per member than short ones;
+// the marks span the range of bucket ids, which partitioners number
+// densely.
+func (g *Graph) Connectivities(assign []int32) []int32 {
+	lam := make([]int32, g.NumEdges())
+	if len(assign) == 0 {
+		return lam
 	}
-	// Edges are small (query length); count distinct buckets with a small
-	// stack-friendly scan instead of allocating a map.
-	var seen [16]int32
-	distinct := 0
-	var spill map[int32]struct{}
-	for _, v := range members {
-		b := assign[v]
-		found := false
-		for i := 0; i < distinct && i < len(seen); i++ {
-			if seen[i] == b {
-				found = true
-				break
+	lo, hi := slices.Min(assign), slices.Max(assign)
+	seenBy := make([]uint32, int64(hi)-int64(lo)+1) // 1 + the edge that last counted a bucket
+	for e := range lam {
+		for _, v := range g.Edge(EdgeID(e)) {
+			if b := int64(assign[v]) - int64(lo); seenBy[b] != uint32(e)+1 {
+				seenBy[b] = uint32(e) + 1
+				lam[e]++
 			}
 		}
-		if !found && spill != nil {
-			_, found = spill[b]
-		}
-		if found {
-			continue
-		}
-		if distinct < len(seen) {
-			seen[distinct] = b
-		} else {
-			if spill == nil {
-				spill = make(map[int32]struct{})
-			}
-			spill[b] = struct{}{}
-		}
-		distinct++
 	}
-	return distinct
+	return lam
 }
 
 // TotalConnectivity returns Σ_e λ(e) under assign — the total page-read
 // count the trace would cost with one copy per key and no cache.
 func (g *Graph) TotalConnectivity(assign []int32) int64 {
 	var total int64
-	for e := 0; e < g.NumEdges(); e++ {
-		total += int64(g.Connectivity(EdgeID(e), assign))
+	for _, lam := range g.Connectivities(assign) {
+		total += int64(lam)
 	}
 	return total
 }

@@ -100,35 +100,29 @@ func TestConnectivity(t *testing.T) {
 		{},
 	})
 	assign := []int32{0, 0, 1, 1, 2, 2}
-	if got := g.Connectivity(0, assign); got != 2 {
-		t.Errorf("Connectivity(edge0) = %d, want 2", got)
-	}
-	if got := g.Connectivity(1, assign); got != 1 {
-		t.Errorf("Connectivity(edge1) = %d, want 1", got)
-	}
-	if got := g.Connectivity(2, assign); got != 2 {
-		t.Errorf("Connectivity(edge2) = %d, want 2", got)
-	}
-	if got := g.Connectivity(3, assign); got != 0 {
-		t.Errorf("Connectivity(empty edge) = %d, want 0", got)
+	lam := g.Connectivities(assign)
+	for e, want := range []int32{2, 1, 2, 0} { // the last edge is empty
+		if lam[e] != want {
+			t.Errorf("λ(edge%d) = %d, want %d", e, lam[e], want)
+		}
 	}
 	if got := g.TotalConnectivity(assign); got != 5 {
 		t.Errorf("TotalConnectivity = %d, want 5", got)
 	}
 }
 
-// TestConnectivityLargeEdge exercises the spill-to-map path for edges that
-// span more than 16 distinct buckets.
+// TestConnectivityLargeEdge covers an edge spanning many buckets, with
+// bucket ids that do not start at zero.
 func TestConnectivityLargeEdge(t *testing.T) {
 	const n = 40
 	members := make([]Vertex, n)
 	assign := make([]int32, n)
 	for i := range members {
 		members[i] = Vertex(i)
-		assign[i] = int32(i / 2) // 20 distinct buckets
+		assign[i] = int32(i/2) - 7 // 20 distinct buckets
 	}
 	g := mustGraph(t, n, [][]Vertex{members})
-	if got := g.Connectivity(0, assign); got != 20 {
+	if got := g.Connectivities(assign)[0]; got != 20 {
 		t.Errorf("Connectivity = %d, want 20", got)
 	}
 }
@@ -201,8 +195,9 @@ func TestIncidenceTransposeProperty(t *testing.T) {
 	}
 }
 
-// Property: connectivity is between 1 and min(edge size, #buckets) for
-// non-empty edges, and TotalConnectivity is the sum of per-edge values.
+// Property: each edge's connectivity is its count of distinct buckets,
+// between 1 and min(edge size, #buckets) for non-empty edges, and
+// TotalConnectivity is the sum of per-edge values.
 func TestConnectivityBoundsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -227,10 +222,13 @@ func TestConnectivityBoundsProperty(t *testing.T) {
 			return false
 		}
 		var sum int64
-		for e := 0; e < g.NumEdges(); e++ {
-			lam := g.Connectivity(EdgeID(e), assign)
+		for e, lam := range g.Connectivities(assign) {
+			buckets := map[int32]bool{}
+			for _, v := range g.Edge(EdgeID(e)) {
+				buckets[assign[v]] = true
+			}
 			size := g.EdgeSize(EdgeID(e))
-			if lam < 1 || lam > size || lam > nBuckets {
+			if int(lam) != len(buckets) || lam < 1 || int(lam) > size || int(lam) > nBuckets {
 				return false
 			}
 			sum += int64(lam)

@@ -16,7 +16,6 @@ package placement
 
 import (
 	"fmt"
-	"sort"
 
 	"maxembed/internal/hypergraph"
 	"maxembed/internal/layout"
@@ -193,32 +192,33 @@ func Replicate(g *hypergraph.Graph, assign []int32, opts Options) (*layout.Layou
 
 	// Score vertices by Σ(λ(e)−1) over their edges.
 	score := make([]int64, n)
-	for e := 0; e < g.NumEdges(); e++ {
-		lam := int64(g.Connectivity(hypergraph.EdgeID(e), assign)) - 1
-		if lam <= 0 {
+	for e, lam := range g.Connectivities(assign) {
+		if lam <= 1 {
 			continue
 		}
 		for _, v := range g.Edge(hypergraph.EdgeID(e)) {
-			score[v] += lam
+			score[v] += int64(lam) - 1
 		}
 	}
-	order := make([]hypergraph.Vertex, n)
-	for v := range order {
-		order[v] = hypergraph.Vertex(v)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if score[order[i]] != score[order[j]] {
-			return score[order[i]] > score[order[j]]
+	// Bases come in score-descending, id-ascending order, as packed keys
+	// (^score in the high word, the id in the low) popped from a heap:
+	// the budget runs out long before the order does. Zero-score vertices
+	// are never bases. A score never exceeds the graph's pin count, which
+	// stays far below the 2^32 the high word holds.
+	order := make(hypergraph.RankHeap, 0, n)
+	for v, s := range score {
+		if s > 0 {
+			order = append(order, uint64(^uint32(s))<<32|uint64(v))
 		}
-		return order[i] < order[j]
-	})
+	}
+	order.Init()
 
 	// pairSeen records key pairs already co-located on a replica page, so
 	// successive bases with near-identical neighbourhoods (common when a
 	// recurring key set is much larger than a page) produce complementary
 	// digests instead of duplicate pages — the wasted-space failure mode
 	// the paper attributes to naive replication (§5.1).
-	pairSeen := make(map[uint64]struct{})
+	pairSeen := make(map[uint64]struct{}, budget*opts.Capacity*(opts.Capacity-1)/2)
 	pairKey := func(a, b hypergraph.Vertex) uint64 {
 		if a > b {
 			a, b = b, a
@@ -227,10 +227,8 @@ func Replicate(g *hypergraph.Graph, assign []int32, opts Options) (*layout.Layou
 	}
 	coocc := hypergraph.NewCoOccurrence(g)
 	var cands [][]layout.Key
-	for _, base := range order {
-		if len(cands) >= budget || score[base] == 0 {
-			break
-		}
+	for len(order) > 0 && len(cands) < budget {
+		base := hypergraph.Vertex(order.Pop())
 		baseBucket := assign[base]
 		neighbors := coocc.Top(base, opts.Capacity-1, func(u hypergraph.Vertex) bool {
 			if assign[u] == baseBucket {
@@ -270,24 +268,25 @@ func Replicate(g *hypergraph.Graph, assign []int32, opts Options) (*layout.Layou
 func emitReplicaPages(lay *layout.Layout, cands [][]layout.Key, shards int) error {
 	if shards > 1 && len(cands) > 1 {
 		numHome := lay.NumPages()
+		// collisions[i*shards+s]: candidate i's keys whose home is on shard s.
+		collisions := make([]int, len(cands)*shards)
+		for i, keys := range cands {
+			for _, k := range keys {
+				collisions[i*shards+int(lay.Home[k])%shards]++
+			}
+		}
 		used := make([]bool, len(cands))
 		ordered := make([][]layout.Key, 0, len(cands))
 		for slot := 0; slot < len(cands); slot++ {
 			slotShard := (numHome + slot) % shards
 			pick, best := -1, int(^uint(0)>>1)
-			for i, keys := range cands {
+			for i := range cands {
 				if used[i] {
 					continue
 				}
-				collisions := 0
-				for _, k := range keys {
-					if int(lay.Home[k])%shards == slotShard {
-						collisions++
-					}
-				}
-				if collisions < best {
-					pick, best = i, collisions
-					if collisions == 0 {
+				if c := collisions[i*shards+slotShard]; c < best {
+					pick, best = i, c
+					if c == 0 {
 						break
 					}
 				}

@@ -610,7 +610,7 @@ type Worker struct {
 	resRefs     []SlotRef
 	perQuery    []Result // LookupBatch's scattered results, reused per batch
 	compMap     map[layout.PageID]ssd.Completion
-	seen        map[Key]struct{}
+	seen        map[Key]bool // distinct keys of the pass → served from cache
 
 	// skipFn and emitFn are the selection callbacks, built once per worker
 	// so the hot path does not allocate a closure per query. emitFn reads
@@ -634,15 +634,13 @@ func (e *Engine) NewWorker() *Worker {
 		sel:     selection.NewSelector(e.idx),
 		q:       ssd.NewQueuePairFor(e.be),
 		now:     e.be.Frontier(),
-		seen:    make(map[Key]struct{}, 64),
+		seen:    make(map[Key]bool, 64),
 		compMap: make(map[layout.PageID]ssd.Completion, 16),
 	}
-	w.skipFn = func(k Key) bool {
-		if e.cache == nil {
-			return false
-		}
-		return e.cache.Contains(k)
-	}
+	// Selection skips exactly the keys this pass's probe hit. Asking the
+	// shared cache again would race other workers' Puts and evictions: a
+	// key evicted in between would be neither read nor served from DRAM.
+	w.skipFn = func(k Key) bool { return w.seen[k] }
 	w.emitFn = func(p layout.PageID, covered []Key, sofar selection.Stats) {
 		from := len(w.coveredFlat)
 		w.coveredFlat = append(w.coveredFlat, covered...)
@@ -807,7 +805,7 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 		if _, dup := w.seen[k]; dup {
 			continue
 		}
-		w.seen[k] = struct{}{}
+		w.seen[k] = false
 		w.distinct = append(w.distinct, k)
 	}
 	st.DistinctKeys = len(w.distinct)
@@ -823,6 +821,7 @@ func (w *Worker) lookupCombined(query []Key, record bool) (Result, error) {
 	if e.cache != nil {
 		for _, k := range w.distinct {
 			if v, ok := e.cache.Get(k); ok {
+				w.seen[k] = true
 				w.hitKeys = append(w.hitKeys, k)
 				w.hitVecs = append(w.hitVecs, v)
 			}

@@ -1,8 +1,10 @@
 package serving
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"maxembed/internal/embedding"
@@ -511,5 +513,67 @@ func TestHistoryRecorderPartialRing(t *testing.T) {
 	}
 	if NewHistoryRecorder(0) == nil {
 		t.Error("zero-capacity recorder not clamped")
+	}
+}
+
+// TestConcurrentWorkersServeEveryKeyOnce runs isolated lookups from many
+// workers against one small shared cache, so other workers' Puts and
+// evictions land between a lookup's cache probe and its page selection.
+// Every distinct query key must come back exactly once, served or listed
+// failed, with its own vector.
+func TestConcurrentWorkersServeEveryKeyOnce(t *testing.T) {
+	f := newFixture(t, placement.StrategyMaxEmbed, 0.2)
+	e := f.engine(t, func(c *Config) { c.CacheEntries = 24 })
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			w := e.NewWorker()
+			var want []float32
+			for i := wi; i < 1600; i += workers {
+				q := f.trace.Queries[i%len(f.trace.Queries)]
+				res, err := w.Lookup(q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got := map[Key]int{}
+				for j, k := range res.Keys {
+					got[k]++
+					want = f.syn.Vector(k, want[:0])
+					for d := range want {
+						if res.Vectors[j][d] != want[d] {
+							errs <- fmt.Errorf("query %d: wrong vector for key %d", i, k)
+							return
+						}
+					}
+				}
+				for _, k := range res.FailedKeys {
+					got[k]++
+				}
+				distinct := map[Key]bool{}
+				for _, k := range q {
+					distinct[k] = true
+				}
+				for k := range distinct {
+					if got[k] != 1 {
+						errs <- fmt.Errorf("query %d: key %d served or failed %d times, want once", i, k, got[k])
+						return
+					}
+				}
+				if len(got) != len(distinct) {
+					errs <- fmt.Errorf("query %d: %d keys returned, query has %d", i, len(got), len(distinct))
+					return
+				}
+			}
+		}(wi)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

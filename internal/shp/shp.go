@@ -8,7 +8,7 @@
 // bulk-synchronous iterations in which every vertex computes the gain of
 // switching sides (how many more hyperedge co-members it would join) and
 // the two sides exchange their highest-gain movers pairwise, so balance is
-// preserved by construction. Per-edge side counts are maintained
+// preserved by construction. Each edge's side balance is maintained
 // incrementally, making one refinement iteration O(pins). The original runs
 // on Hadoop (§7.2); this is a faithful single-process re-implementation.
 package shp
@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"maxembed/internal/hypergraph"
@@ -38,10 +38,12 @@ type Options struct {
 	// Seed drives the initial random assignment. The run is deterministic
 	// for a fixed (graph, options) pair.
 	Seed int64
-	// Parallelism is the number of goroutines used for the gain-
-	// computation phase of each refinement iteration (the original SHP is
-	// a map-reduce program, §7.2 of the paper). Zero uses GOMAXPROCS; 1
-	// runs serially. Results are identical at any parallelism level.
+	// Parallelism bounds the goroutines a run keeps busy. Once a bisection
+	// has split its vertices, the two halves are refined concurrently, and
+	// large gain-computation passes fan out across goroutines (the
+	// original SHP is a map-reduce program, §7.2 of the paper); both draw
+	// on this one budget. Zero uses GOMAXPROCS; 1 runs serially. Results
+	// are identical at any parallelism level.
 	Parallelism int
 }
 
@@ -128,46 +130,88 @@ func Partition(g *hypergraph.Graph, opts Options) (*Result, error) {
 		g:        g,
 		capacity: opts.Capacity,
 		maxIters: opts.MaxIters,
-		parallel: opts.Parallelism,
 		assign:   assign,
-		res:      res,
-		cnt:      [2][]int32{make([]int32, g.NumEdges()), make([]int32, g.NumEdges())},
-		stamp:    make([]int32, g.NumEdges()),
 		side:     make([]int8, n),
+		tokens:   make(chan *scratch, opts.Parallelism-1),
+		scratch:  newScratch(g.NumEdges()),
 	}
-	b.split(verts, 0, int32(opts.NumBuckets))
+	for i := 1; i < opts.Parallelism; i++ {
+		b.tokens <- nil
+	}
+	byID := make([]hypergraph.Vertex, n)
+	for v := range byID {
+		byID[v] = hypergraph.Vertex(v)
+	}
+	b.split(verts, byID, 0, int32(opts.NumBuckets))
 
 	res.Assign = assign
+	res.Iterations = b.iterations
+	res.Moves = b.moves
 	res.FinalConnectivity = g.TotalConnectivity(assign)
 	return res, nil
 }
 
-// bisector carries the shared scratch state of the recursive bisection.
+// bisector runs the recursive bisection. Sibling subproblems own disjoint
+// vertex sets, so they share side and assign but each runs on a bisector
+// of its own, with its own per-edge scratch.
 type bisector struct {
 	g        *hypergraph.Graph
 	capacity int
 	maxIters int
-	parallel int
 	assign   []int32
-	res      *Result
+	side     []int8 // per-vertex side within its current subproblem
 
-	cnt   [2][]int32 // per-edge member count on each side, current subproblem
-	stamp []int32    // epoch an edge's counts were last reset
-	epoch int32
-	side  []int8 // per-vertex side within the current subproblem
+	// tokens is the run's budget of Parallelism−1 goroutines beyond the
+	// caller's, shared by sibling forks and the gain-pass fan-out. A token
+	// carries the scratch a fork runs on (nil until first needed).
+	tokens chan *scratch
+	*scratch
 
-	edges  []hypergraph.EdgeID // edges touching the current subproblem
-	movers [2][]mover          // per-side positive-gain vertices
+	iterations int // refinement iterations run by this branch
+	moves      int // side-switches applied by this branch
 }
 
-type mover struct {
-	v    hypergraph.Vertex
-	gain int32
+// scratch is the per-edge state of one subproblem's refinement.
+type scratch struct {
+	diff   []int32 // per edge: members on side 1 − members on side 0
+	stamp  []int32 // epoch an edge's diff was last reset
+	epoch  int32
+	movers [2][]uint64 // per-side positive-gain vertices, moverKey
 }
 
-// split assigns buckets [bLo, bHi) to verts. Invariant: len(verts) ≤
-// (bHi−bLo) × capacity.
-func (b *bisector) split(verts []hypergraph.Vertex, bLo, bHi int32) {
+func newScratch(numEdges int) *scratch {
+	return &scratch{
+		diff:  make([]int32, numEdges),
+		stamp: make([]int32, numEdges),
+	}
+}
+
+// moverKey packs a mover so that ascending order is gain descending, then
+// vertex ascending.
+func moverKey(v hypergraph.Vertex, gain int32) uint64 {
+	return uint64(^uint32(gain))<<32 | uint64(v)
+}
+
+// tryToken takes a token if one is free.
+func (b *bisector) tryToken() (*scratch, bool) {
+	select {
+	case s := <-b.tokens:
+		return s, true
+	default:
+		return nil, false
+	}
+}
+
+// minForkVerts is the smallest subproblem whose halves are worth handing
+// to another goroutine.
+const minForkVerts = 1 << 10
+
+// split assigns buckets [bLo, bHi) to verts. byID holds the same vertices
+// in id order: the refinement passes walk it, so their reads of the
+// incidence lists and per-vertex state run forward through memory, while
+// verts keeps the random order the initial sides are cut from. Invariant:
+// len(verts) ≤ (bHi−bLo) × capacity.
+func (b *bisector) split(verts, byID []hypergraph.Vertex, bLo, bHi int32) {
 	nBuckets := bHi - bLo
 	if nBuckets <= 1 || len(verts) == 0 {
 		for _, v := range verts {
@@ -187,12 +231,45 @@ func (b *bisector) split(verts []hypergraph.Vertex, bLo, bHi int32) {
 		nl = min
 	}
 
-	b.refine(verts, nl, int(bl)*b.capacity, int(br)*b.capacity)
+	b.refine(verts, byID, nl, int(bl)*b.capacity, int(br)*b.capacity)
 
-	// Partition the slice by side, preserving relative order for
+	// Partition both slices by side, preserving relative order for
 	// determinism.
-	left := make([]hypergraph.Vertex, 0, nl)
-	right := make([]hypergraph.Vertex, 0, len(verts)-nl)
+	left, right := b.partition(verts, nl)
+	leftByID, rightByID := b.partition(byID, nl)
+
+	// Each half's outcome depends only on its own vertices, so the left
+	// half may run on another goroutine without changing the result.
+	if len(verts) >= minForkVerts {
+		if s, ok := b.tryToken(); ok {
+			if s == nil {
+				s = newScratch(b.g.NumEdges())
+			}
+			fork := &bisector{
+				g: b.g, capacity: b.capacity, maxIters: b.maxIters,
+				assign: b.assign, side: b.side, tokens: b.tokens, scratch: s,
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				fork.split(left, leftByID, bLo, bLo+bl)
+			}()
+			b.split(right, rightByID, bLo+bl, bHi)
+			<-done
+			b.tokens <- s
+			b.iterations += fork.iterations
+			b.moves += fork.moves
+			return
+		}
+	}
+	b.split(left, leftByID, bLo, bLo+bl)
+	b.split(right, rightByID, bLo+bl, bHi)
+}
+
+// partition splits verts, of which nl are on side 0, by side.
+func (b *bisector) partition(verts []hypergraph.Vertex, nl int) (left, right []hypergraph.Vertex) {
+	left = make([]hypergraph.Vertex, 0, nl)
+	right = make([]hypergraph.Vertex, 0, len(verts)-nl)
 	for _, v := range verts {
 		if b.side[v] == 0 {
 			left = append(left, v)
@@ -200,17 +277,16 @@ func (b *bisector) split(verts []hypergraph.Vertex, bLo, bHi int32) {
 			right = append(right, v)
 		}
 	}
-	b.split(left, bLo, bLo+bl)
-	b.split(right, bLo+bl, bHi)
+	return left, right
 }
 
 // refine splits verts into two sides (initially the first nl on side 0)
 // and iteratively swaps the highest-gain movers between sides.
-func (b *bisector) refine(verts []hypergraph.Vertex, nl, capL, capR int) {
+func (b *bisector) refine(verts, byID []hypergraph.Vertex, nl, capL, capR int) {
 	g := b.g
 	// New epoch: lazily reset the edge counters we will touch.
 	b.epoch++
-	b.edges = b.edges[:0]
+	anyEdge := false
 	sizes := [2]int{}
 	for i, v := range verts {
 		s := int8(0)
@@ -220,52 +296,41 @@ func (b *bisector) refine(verts []hypergraph.Vertex, nl, capL, capR int) {
 		b.side[v] = s
 		sizes[s]++
 	}
-	for _, v := range verts {
+	for _, v := range byID {
 		s := b.side[v]
 		for _, e := range g.IncidentEdges(v) {
 			if b.stamp[e] != b.epoch {
 				b.stamp[e] = b.epoch
-				b.cnt[0][e] = 0
-				b.cnt[1][e] = 0
-				b.edges = append(b.edges, e)
+				b.diff[e] = 0
+				anyEdge = true
 			}
-			b.cnt[s][e]++
+			b.diff[e] += 2*int32(s) - 1
 		}
 	}
-	if len(b.edges) == 0 {
+	if !anyEdge {
 		return
 	}
 
 	for iter := 0; iter < b.maxIters; iter++ {
-		b.res.Iterations++
+		b.iterations++
 		b.movers[0] = b.movers[0][:0]
 		b.movers[1] = b.movers[1][:0]
-		b.collectMovers(verts)
-		for s := 0; s < 2; s++ {
-			m := b.movers[s]
-			sort.Slice(m, func(i, j int) bool {
-				if m[i].gain != m[j].gain {
-					return m[i].gain > m[j].gain
-				}
-				return m[i].v < m[j].v
-			})
-		}
+		b.collectMovers(byID)
+		slices.Sort(b.movers[0])
+		slices.Sort(b.movers[1])
 		// Swap matched pairs; then drain leftovers while capacity allows.
-		k := len(b.movers[0])
-		if len(b.movers[1]) < k {
-			k = len(b.movers[1])
-		}
+		k := min(len(b.movers[0]), len(b.movers[1]))
 		moves := 0
 		for i := 0; i < k; i++ {
-			b.flip(b.movers[0][i].v)
-			b.flip(b.movers[1][i].v)
+			b.flip(hypergraph.Vertex(b.movers[0][i]))
+			b.flip(hypergraph.Vertex(b.movers[1][i]))
 			moves += 2
 		}
 		for _, m := range b.movers[0][k:] {
 			if sizes[1]+1 > capR {
 				break
 			}
-			b.flip(m.v)
+			b.flip(hypergraph.Vertex(m))
 			sizes[0]--
 			sizes[1]++
 			moves++
@@ -274,12 +339,12 @@ func (b *bisector) refine(verts []hypergraph.Vertex, nl, capL, capR int) {
 			if sizes[0]+1 > capL {
 				break
 			}
-			b.flip(m.v)
+			b.flip(hypergraph.Vertex(m))
 			sizes[1]--
 			sizes[0]++
 			moves++
 		}
-		b.res.Moves += moves
+		b.moves += moves
 		if moves == 0 {
 			break
 		}
@@ -288,46 +353,52 @@ func (b *bisector) refine(verts []hypergraph.Vertex, nl, capL, capR int) {
 
 // collectMovers fills b.movers with every vertex whose gain from switching
 // sides is positive. The gain pass only reads shared state, so it fans out
-// across goroutines (the "map" side of SHP's map-reduce formulation);
-// results are merged in chunk order and later sorted by (gain, vertex), so
-// the outcome is independent of scheduling.
+// across goroutines (the "map" side of SHP's map-reduce formulation) as
+// far as free tokens allow; results are merged in chunk order and later
+// sorted by (gain, vertex), so the outcome is independent of scheduling.
 func (b *bisector) collectMovers(verts []hypergraph.Vertex) {
 	g := b.g
 	gainOf := func(v hypergraph.Vertex) int32 {
-		s := b.side[v]
-		var gain int32
-		for _, e := range g.IncidentEdges(v) {
-			// Switching sides joins cnt[other] co-members and leaves
-			// cnt[same]−1 behind.
-			gain += b.cnt[1-s][e] - b.cnt[s][e] + 1
+		// Switching sides joins an edge's co-members on the other side and
+		// leaves those on its own side, less v itself, behind: per edge,
+		// 1 + diff from side 0 and 1 − diff from side 1.
+		edges := g.IncidentEdges(v)
+		var d int32
+		for _, e := range edges {
+			d += b.diff[e]
 		}
-		return gain
+		if b.side[v] == 1 {
+			d = -d
+		}
+		return int32(len(edges)) + d
 	}
 
 	const minParallelWork = 1 << 14
-	workers := b.parallel
-	if workers > len(verts)/minParallelWork {
-		workers = len(verts) / minParallelWork
+	var held []*scratch
+	for 1+len(held) < len(verts)/minParallelWork {
+		s, ok := b.tryToken()
+		if !ok {
+			break
+		}
+		held = append(held, s)
 	}
-	if workers <= 1 {
+	workers := 1 + len(held)
+	if workers == 1 {
 		for _, v := range verts {
 			if gain := gainOf(v); gain > 0 {
-				b.movers[b.side[v]] = append(b.movers[b.side[v]], mover{v, gain})
+				b.movers[b.side[v]] = append(b.movers[b.side[v]], moverKey(v, gain))
 			}
 		}
 		return
 	}
 
 	chunk := (len(verts) + workers - 1) / workers
-	type part struct{ movers [2][]mover }
+	type part struct{ movers [2][]uint64 }
 	parts := make([]part, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(verts) {
-			hi = len(verts)
-		}
+		hi := min(lo+chunk, len(verts))
 		if lo >= hi {
 			break
 		}
@@ -337,12 +408,15 @@ func (b *bisector) collectMovers(verts []hypergraph.Vertex) {
 			for _, v := range verts[lo:hi] {
 				if gain := gainOf(v); gain > 0 {
 					s := b.side[v]
-					parts[w].movers[s] = append(parts[w].movers[s], mover{v, gain})
+					parts[w].movers[s] = append(parts[w].movers[s], moverKey(v, gain))
 				}
 			}
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	for _, s := range held {
+		b.tokens <- s
+	}
 	for w := range parts {
 		b.movers[0] = append(b.movers[0], parts[w].movers[0]...)
 		b.movers[1] = append(b.movers[1], parts[w].movers[1]...)
@@ -352,9 +426,9 @@ func (b *bisector) collectMovers(verts []hypergraph.Vertex) {
 // flip moves v to the other side, updating the edge counters.
 func (b *bisector) flip(v hypergraph.Vertex) {
 	s := b.side[v]
+	step := 2 - 4*int32(s) // ±2: one member leaves side s for the other
 	for _, e := range b.g.IncidentEdges(v) {
-		b.cnt[s][e]--
-		b.cnt[1-s][e]++
+		b.diff[e] += step
 	}
 	b.side[v] = 1 - s
 }

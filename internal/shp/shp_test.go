@@ -215,6 +215,10 @@ func TestPartitionRandomizedInvariants(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial checks that sibling forks and the gain-pass
+// fan-out change nothing: 40k vertices at capacity 15 keep subproblems
+// above minForkVerts for the first five bisection levels, so forks happen
+// at several depths and compete with the fan-out for tokens.
 func TestParallelMatchesSerial(t *testing.T) {
 	p := workload.Profile{
 		Name: "t", Items: 40_000, Queries: 20_000, MeanQueryLen: 10,
@@ -233,16 +237,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Partition(g, Options{Capacity: 15, Seed: 3, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Assign, parallel.Assign) {
-		t.Error("parallel partition differs from serial")
-	}
-	if serial.FinalConnectivity != parallel.FinalConnectivity {
-		t.Errorf("connectivity differs: %d vs %d",
-			serial.FinalConnectivity, parallel.FinalConnectivity)
+	for _, par := range []int{2, 8} {
+		parallel, err := Partition(g, Options{Capacity: 15, Seed: 3, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial.Assign, parallel.Assign) {
+			t.Errorf("parallelism %d: partition differs from serial", par)
+		}
+		if serial.Iterations != parallel.Iterations || serial.Moves != parallel.Moves {
+			t.Errorf("parallelism %d: %d iterations / %d moves, serial %d / %d", par,
+				parallel.Iterations, parallel.Moves, serial.Iterations, serial.Moves)
+		}
+		if serial.FinalConnectivity != parallel.FinalConnectivity {
+			t.Errorf("parallelism %d: connectivity %d, serial %d",
+				par, parallel.FinalConnectivity, serial.FinalConnectivity)
+		}
 	}
 }
 

@@ -377,11 +377,12 @@ type ReadLatencyReporter interface {
 // latHistBuckets spans 1 µs to ~16.8 s in ×2 steps plus an overflow.
 const latHistBuckets = 25
 
-// latHist is a lock-free log2 latency histogram.
+// latHist is a lock-free log2 latency histogram. It keeps no separate
+// total: a snapshot's Count is the sum of the bucket counts it loaded, so
+// the two always agree however reads land during the snapshot.
 type latHist struct {
 	counts [latHistBuckets]atomic.Int64
 	sumNS  atomic.Int64
-	n      atomic.Int64
 }
 
 func (h *latHist) observe(ns int64) {
@@ -394,7 +395,6 @@ func (h *latHist) observe(ns int64) {
 	}
 	h.counts[b].Add(1)
 	h.sumNS.Add(ns)
-	h.n.Add(1)
 }
 
 func (h *latHist) reset() {
@@ -402,14 +402,12 @@ func (h *latHist) reset() {
 		h.counts[i].Store(0)
 	}
 	h.sumNS.Store(0)
-	h.n.Store(0)
 }
 
 func (h *latHist) snapshot() ReadLatencySnapshot {
 	s := ReadLatencySnapshot{
 		UpperNS: make([]int64, latHistBuckets-1),
 		Counts:  make([]int64, latHistBuckets),
-		Count:   h.n.Load(),
 		SumNS:   h.sumNS.Load(),
 	}
 	for i := range s.UpperNS {
@@ -417,6 +415,7 @@ func (h *latHist) snapshot() ReadLatencySnapshot {
 	}
 	for i := range s.Counts {
 		s.Counts[i] = h.counts[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package ssd
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"maxembed/internal/embedding"
@@ -248,4 +249,47 @@ func TestFileBackendConfigErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	fb.Close()
+}
+
+// TestFileLatHistSnapshotConsistent snapshots a read-latency histogram
+// while reads land on it: every snapshot's Count must equal the sum of
+// its bucket counts, and the final one must hold every read.
+func TestFileLatHistSnapshotConsistent(t *testing.T) {
+	var h latHist
+	const writers, perWriter = 4, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				h.observe(int64(500 + (i*7919+w)%4_000_000))
+			}
+		}(w)
+	}
+	check := func(s ReadLatencySnapshot) {
+		t.Helper()
+		var sum int64
+		for _, c := range s.Counts {
+			sum += c
+		}
+		if s.Count != sum {
+			t.Fatalf("Count %d, buckets sum to %d", s.Count, sum)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			s := h.snapshot()
+			check(s)
+			if s.Count != writers*perWriter {
+				t.Fatalf("final Count %d, want %d", s.Count, writers*perWriter)
+			}
+			return
+		default:
+			check(h.snapshot())
+		}
+	}
 }
